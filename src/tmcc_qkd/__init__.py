@@ -2,78 +2,51 @@
 correlated (TMCC) laser beams."""
 
 from .photon_stats import (
-    MAX_LAMBDA,
-    TAIL_EPS,
-    IntensityParam,
-    MomentSummary,
-    PhotonDistribution,
-    PhotonStatsError,
-    bessel_i,
-    log_bessel_i,
-    poisson_distribution,
-    tmcc_distribution,
-    tmcc_moments,
-    tmcc_pn,
+    MAX_LAMBDA, TAIL_EPS, IntensityParam, MomentSummary, PhotonDistribution,
+    PhotonStatsError, bessel_i, log_bessel_i, poisson_distribution, tmcc_distribution,
+    tmcc_moments, tmcc_pn,
 )
 from .density_ops import (
-    DiagonalDensityMatrix,
-    DistanceReport,
-    distance_report,
-    hs_distance_sq,
-    weak_distance,
+    DiagonalDensityMatrix, DistanceReport, distance_report, hs_distance_sq, weak_distance,
 )
 from .source import (
-    CorrelationReport,
-    PulseRecord,
-    PulseSampler,
-    SourceConfig,
-    correlation_report,
-    sample_pulses,
-    write_pulse_log,
+    CorrelationReport, PulseBatch, PulseSampler, SourceConfig, correlation_report,
+    read_pulse_log, write_pulse_log,
 )
 from .attacks import (
-    ClonePulseSampler,
-    CloneStrategy,
-    SplitPulseSampler,
-    SplitRatio,
-    cloned_bob_matrix,
-    lambda_for_mean,
-    lambda_of_n,
-    split_marginal_binomial,
-    split_marginal_bob,
+    ClonePulseSampler, CloneStrategy, SplitPulseSampler, SplitRatio, cloned_bob_matrix,
+    lambda_for_mean, lambda_of_n, split_marginal_binomial, split_marginal_bob,
     split_marginal_eve,
 )
 from .protocol import (
-    ErrorModel,
-    ErrorReport,
-    KeyMaterial,
-    ReconcileResult,
-    Verdict,
-    bit_from_count,
-    error_probability,
-    expected_disagreement_rate,
-    extract_keys,
-    reconcile,
+    ErrorModel, ErrorReport, KeyMaterial, MismatchReason, ReconcileResult, Verdict,
+    error_probability, expected_disagreement_rate, extract_keys, reconcile,
 )
 from .channel import (
-    ExchangeVerdict,
-    Frame,
-    FrameError,
-    MsgType,
-    Role,
-    Transcript,
-    decode_frame,
-    encode_frame,
-    run_reconciliation_exchange,
+    ExchangeVerdict, Frame, FrameError, MsgType, Role, Transcript, decode_frame,
+    encode_frame, run_reconciliation_exchange,
 )
 from .detection import (
-    DetectionReport,
-    DetectionThresholds,
-    DetectionVerdict,
-    calibrate_thresholds,
-    detect,
+    DetectionReport, DetectionThresholds, DetectionVerdict, calibrate_thresholds, detect,
     empirical_distribution,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "MAX_LAMBDA", "TAIL_EPS", "IntensityParam", "MomentSummary", "PhotonDistribution",
+    "PhotonStatsError", "bessel_i", "log_bessel_i", "poisson_distribution", "tmcc_distribution",
+    "tmcc_moments", "tmcc_pn",
+    "DiagonalDensityMatrix", "DistanceReport", "distance_report", "hs_distance_sq",
+    "weak_distance",
+    "CorrelationReport", "PulseBatch", "PulseSampler", "SourceConfig", "correlation_report",
+    "read_pulse_log", "write_pulse_log",
+    "ClonePulseSampler", "CloneStrategy", "SplitPulseSampler", "SplitRatio",
+    "cloned_bob_matrix", "lambda_for_mean", "lambda_of_n", "split_marginal_binomial",
+    "split_marginal_bob", "split_marginal_eve",
+    "ErrorModel", "ErrorReport", "KeyMaterial", "MismatchReason", "ReconcileResult", "Verdict",
+    "error_probability", "expected_disagreement_rate", "extract_keys", "reconcile",
+    "ExchangeVerdict", "Frame", "FrameError", "MsgType", "Role", "Transcript", "decode_frame",
+    "encode_frame", "run_reconciliation_exchange",
+    "DetectionReport", "DetectionThresholds", "DetectionVerdict", "calibrate_thresholds",
+    "detect", "empirical_distribution",
+]
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .photon_stats import (
     tmcc_distribution,
     tmcc_moments,
 )
-from .source import InverseCdfSampler, PulseRecord, SourceConfig, derive_rng
+from .source import InverseCdfSampler, PulseSampler, SourceConfig, derive_rng
 
 
 @dataclass(frozen=True)
@@ -116,36 +116,17 @@ def split_marginal_binomial(lam: IntensityParam, r: SplitRatio, tail_eps: float 
     return PhotonDistribution(probs, tail_mass=tail)
 
 
-class SplitPulseSampler:
+class SplitPulseSampler(PulseSampler):
     """Samples pulses through Eve's beam splitter: n_a = n, n_b + n_e = n."""
 
     def __init__(self, cfg: SourceConfig, r: SplitRatio, tail_eps: float = TAIL_EPS):
-        self.cfg = cfg
+        super().__init__(cfg, tail_eps)
         self.ratio = r
-        self.distribution = tmcc_distribution(cfg.lam, tail_eps)
-        self._sampler = InverseCdfSampler(self.distribution, derive_rng(cfg.seed, 0))
         self._split_rng = derive_rng(cfg.seed, 2)
-        self._noise_rng = derive_rng(cfg.seed, 1)
 
-    def sample_batch(self, count: int) -> list[PulseRecord]:
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        n = self._sampler.draw(count)
+    def _attack(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = self._split_rng.binomial(n, self.ratio.p**2)
-        eps = self.cfg.noise_epsilon
-        if eps > 0.0:
-            noise_a = self._noise_rng.random(count) < eps
-            noise_b = self._noise_rng.random(count) < eps
-        else:
-            noise_a = np.zeros(count, dtype=bool)
-            noise_b = np.zeros(count, dtype=bool)
-        return [
-            PulseRecord(int(nn + fa), int(kk + fb), int(nn - kk), bool(fa), bool(fb))
-            for nn, kk, fa, fb in zip(n, k, noise_a, noise_b)
-        ]
-
-    def sample_pulse(self) -> PulseRecord:
-        return self.sample_batch(1)[0]
+        return k, n - k
 
 
 def _mean_of_lambda(x: float) -> float:
@@ -203,18 +184,15 @@ def cloned_bob_matrix(
     return DiagonalDensityMatrix(PhotonDistribution(probs))
 
 
-class ClonePulseSampler:
+class ClonePulseSampler(PulseSampler):
     """Samples pulses under a cloning attack: Alice keeps the true n, Bob
     receives a draw from Eve's re-emitted state, Eve knows n exactly."""
 
     def __init__(self, cfg: SourceConfig, strategy: CloneStrategy, tail_eps: float = TAIL_EPS):
-        self.cfg = cfg
+        super().__init__(cfg, tail_eps)
         self.strategy = strategy
-        self.distribution = tmcc_distribution(cfg.lam, tail_eps)
         self._tail_eps = tail_eps
-        self._sampler = InverseCdfSampler(self.distribution, derive_rng(cfg.seed, 0))
         self._clone_rng = derive_rng(cfg.seed, 3)
-        self._noise_rng = derive_rng(cfg.seed, 1)
         self._inner: dict[int, InverseCdfSampler] = {}
 
     def _inner_sampler(self, n: int) -> InverseCdfSampler:
@@ -223,22 +201,10 @@ class ClonePulseSampler:
             self._inner[n] = InverseCdfSampler(law, self._clone_rng)
         return self._inner[n]
 
-    def sample_batch(self, count: int) -> list[PulseRecord]:
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        n = self._sampler.draw(count)
-        k = np.empty(count, dtype=int)
+    def _attack(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # ascending distinct n sharing sub-stream 3: this order fixes the outputs for a seed
+        k = np.empty_like(n)
         for value in np.unique(n):
             mask = n == value
             k[mask] = self._inner_sampler(int(value)).draw(int(mask.sum()))
-        eps = self.cfg.noise_epsilon
-        if eps > 0.0:
-            noise_a = self._noise_rng.random(count) < eps
-            noise_b = self._noise_rng.random(count) < eps
-        else:
-            noise_a = np.zeros(count, dtype=bool)
-            noise_b = np.zeros(count, dtype=bool)
-        return [
-            PulseRecord(int(nn + fa), int(kk + fb), int(nn), bool(fa), bool(fb))
-            for nn, kk, fa, fb in zip(n, k, noise_a, noise_b)
-        ]
+        return k, n

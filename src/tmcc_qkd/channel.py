@@ -12,9 +12,11 @@ import enum
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from .protocol import KeyMaterial, Verdict, reconcile
+import numpy as np
+
+from .protocol import KeyMaterial, MismatchReason, Verdict, reconcile
 
 MAGIC = b"TMCC"
 VERSION = 1
@@ -74,7 +76,8 @@ def encode_frame(frame: Frame) -> bytes:
     return HEADER.pack(MAGIC, VERSION, frame.msg_type, len(frame.payload)) + frame.payload
 
 
-def decode_frame(raw: bytes) -> Frame:
+def _parse_header(raw: bytes) -> tuple[int, int]:
+    """msg_type and declared payload length of a frame starting at raw[0]."""
     if len(raw) < HEADER.size:
         raise FrameError("short frame header")
     magic, version, msg_type, length = HEADER.unpack_from(raw)
@@ -84,37 +87,30 @@ def decode_frame(raw: bytes) -> Frame:
         raise FrameError(f"unsupported version {version}")
     if length > MAX_PAYLOAD:
         raise FrameError("declared payload too large")
+    return msg_type, length
+
+
+def decode_frame(raw: bytes) -> Frame:
+    msg_type, length = _parse_header(raw)
     if len(raw) != HEADER.size + length:
         raise FrameError("frame length does not match declared payload length")
     return Frame(msg_type, raw[HEADER.size :])
 
 
-def pack_bits(bits: Sequence[int]) -> bytes:
+def pack_bits(bits) -> bytes:
     """XOR_CODE payload: 4-byte bit count then the bits packed MSB-first."""
-    count = len(bits)
-    out = bytearray(struct.pack(">I", count))
-    byte = 0
-    for i, b in enumerate(bits):
-        byte = (byte << 1) | (int(b) & 1)
-        if i % 8 == 7:
-            out.append(byte)
-            byte = 0
-    if count % 8:
-        out.append(byte << (8 - count % 8))
-    return bytes(out)
+    bits = np.asarray(bits, dtype=np.uint8)
+    return struct.pack(">I", bits.size) + np.packbits(bits).tobytes()
 
 
-def unpack_bits(payload: bytes) -> tuple[int, ...]:
+def unpack_bits(payload: bytes) -> np.ndarray:
     if len(payload) < 4:
         raise FrameError("xor-code payload shorter than its bit-count prefix")
     (count,) = struct.unpack_from(">I", payload)
-    data = payload[4:]
-    if len(data) != (count + 7) // 8:
+    data = np.frombuffer(payload, dtype=np.uint8, offset=4)
+    if data.size != (count + 7) // 8:
         raise FrameError("xor-code payload length inconsistent with bit count")
-    bits = []
-    for i in range(count):
-        bits.append((data[i // 8] >> (7 - i % 8)) & 1)
-    return tuple(bits)
+    return np.unpackbits(data, count=count)
 
 
 def _recv_exact(transport, n: int) -> bytes:
@@ -129,15 +125,12 @@ def _recv_exact(transport, n: int) -> bytes:
 
 def read_frame(transport, transcript: Optional[Transcript] = None) -> Frame:
     header = _recv_exact(transport, HEADER.size)
-    magic, version, msg_type, length = HEADER.unpack(header)
-    if magic != MAGIC or version != VERSION:
-        raise FrameError("bad frame header")
-    if length > MAX_PAYLOAD:
-        raise FrameError("declared payload too large")
-    payload = _recv_exact(transport, length) if length else b""
+    # validate before reading, so a bad or oversized header reads no payload
+    _, length = _parse_header(header)
+    raw = header + _recv_exact(transport, length)
     if transcript is not None:
-        transcript.record("<", header + payload)
-    return Frame(msg_type, payload)
+        transcript.record("<", raw)
+    return decode_frame(raw)
 
 
 def send_frame(transport, frame: Frame, transcript: Optional[Transcript] = None) -> None:
@@ -185,10 +178,9 @@ def run_reconciliation_exchange(
         code = read_frame(transport, transcript)
         if code.msg_type != MsgType.XOR_CODE:
             return _abort(transport, transcript)
-        remote_bits = unpack_bits(code.payload)
-        result = reconcile(key, remote_bits)
+        result = reconcile(key, unpack_bits(code.payload))
         payload = bytes([1 if result.verdict is Verdict.MATCH else 0])
-        if result.verdict is Verdict.MISMATCH and "length" in result.detail:
+        if result.reason is MismatchReason.LENGTH:
             payload += b"\x01"  # detail byte: length mismatch
         send_frame(transport, Frame(MsgType.VERDICT, payload), transcript)
         return (

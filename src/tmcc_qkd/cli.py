@@ -25,7 +25,7 @@ from .photon_stats import (
     tmcc_distribution,
     tmcc_moments,
 )
-from .source import PulseSampler, SourceConfig, write_pulse_log
+from .source import PulseSampler, SourceConfig, read_pulse_log, write_pulse_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,6 +34,8 @@ EXIT_ABORT = 3
 EXIT_INTERNAL = 4
 
 CONFIG_ENV = "TMCC_QKD_CONFIG"
+# flag defaults applied after the config file is merged, so that the file can set them
+LATE_DEFAULTS = {"seed": 0, "calibration_trials": 200, "timeout_secs": channel.DEFAULT_TIMEOUT}
 
 
 def _fmt(x: float) -> str:
@@ -48,7 +50,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill in unset flags from a JSON config file (flags always win)."""
+    """Fill in unset flags from a JSON config file (flags always win).
+
+    A key may name a flag of any command; it applies to the commands that
+    have the flag, converted and checked like the flag itself.
+    """
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
         return
@@ -57,12 +63,24 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(data, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {a.dest: a for a in sub._actions} for name, sub in commands.choices.items()}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr == "lambda":
-            attr = "lam"
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        attr = "lam" if key == "lambda" else key.replace("-", "_")
+        if attr == "help" or not any(attr in f for f in flags.values()):
+            parser.error(f"config file {path}: unknown key {key!r}")
+        action = flags[args.command].get(attr)
+        if action is None or getattr(args, attr) is not None:
+            continue
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError:
+            parser.error(f"config file {path}: invalid value {value!r} for {key!r}")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"config file {path}: {key!r} must be one of {list(action.choices)}")
+        setattr(args, attr, value)
 
 
 def _intensity(args, parser) -> IntensityParam:
@@ -146,18 +164,29 @@ def cmd_figures(args, parser) -> int:
 
 
 def _run_scenario(args, parser, sampler, outdir: Path, lam: IntensityParam) -> int:
-    pulses = sampler.sample_batch(args.pulses)
-    write_pulse_log(outdir / "pulses.csv", pulses)
+    batch = sampler.sample_batch(args.pulses)
+    write_pulse_log(outdir / "pulses.csv", batch)
     threshold = int(math.floor(tmcc_moments(lam).mean))
-    alice, bob = protocol.extract_keys(pulses, threshold)
+    alice, bob = protocol.extract_keys(batch, threshold)
     (outdir / "alice.key").write_text(alice.to_bitstring() + "\n")
     (outdir / "bob.key").write_text(bob.to_bitstring() + "\n")
+    return _report(args, lam, batch.n_b, outdir / "report.txt")
+
+
+def _report(args, lam: IntensityParam, counts: np.ndarray, out) -> int:
+    """Detection report on Bob's counts, to stdout and to `out` if given.
+
+    Calibration uses at least MIN_PULSES pulses: below that the verdict is
+    INSUFFICIENT_DATA whatever the thresholds.
+    """
     thresholds = detection.calibrate_thresholds(
-        lam, pulses=args.pulses, trials=args.calibration_trials, seed=args.seed + 1
+        lam, pulses=max(len(counts), detection.MIN_PULSES),
+        trials=args.calibration_trials, seed=args.seed + 1,
     )
-    report = detection.detect([p.n_b for p in pulses], lam, thresholds)
-    (outdir / "report.txt").write_text(report.to_text())
-    print(report.to_text(), end="")
+    text = detection.detect(counts, lam, thresholds).to_text()
+    if out:
+        Path(out).write_text(text)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -200,24 +229,11 @@ def cmd_detect(args, parser) -> int:
     lam = _intensity(args, parser)
     if args.pulse_log is None:
         parser.error("--pulse-log is required for detect")
-    counts = []
-    with open(args.pulse_log) as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            idx = header.index("n_b")
-        except ValueError:
-            parser.error("pulse log lacks an n_b column")
-        for line in fh:
-            counts.append(int(line.strip().split(",")[idx]))
-    thresholds = detection.calibrate_thresholds(
-        lam, pulses=max(len(counts), detection.MIN_PULSES),
-        trials=args.calibration_trials, seed=args.seed + 1,
-    )
-    report = detection.detect(counts, lam, thresholds)
-    if args.out:
-        Path(args.out).write_text(report.to_text())
-    print(report.to_text(), end="")
-    return EXIT_OK
+    try:
+        counts = read_pulse_log(args.pulse_log).n_b
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read pulse log: {exc}")
+    return _report(args, lam, counts, args.out)
 
 
 def _load_key(path: str, parser) -> protocol.KeyMaterial:
@@ -225,9 +241,11 @@ def _load_key(path: str, parser) -> protocol.KeyMaterial:
         text = Path(path).read_text().strip()
     except OSError as exc:
         parser.error(f"cannot read key file {path}: {exc}")
-    if text and set(text) - {"0", "1"}:
+    bits = np.frombuffer(text.encode(), np.uint8) - ord("0")
+    # any byte other than "0" or "1" wraps to a value above 1
+    if (bits > 1).any():
         parser.error(f"key file {path} must contain only 0/1 characters")
-    return protocol.KeyMaterial.from_bits([int(c) for c in text])
+    return protocol.KeyMaterial.from_bits(bits)
 
 
 def _split_hostport(value: str, parser):
@@ -288,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, pulses=False):
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         if pulses:
             p.add_argument("--pulses", type=int, default=None)
-            p.add_argument("--calibration-trials", type=int, default=200)
+            p.add_argument("--calibration-trials", type=int, default=None)
 
     p = sub.add_parser("stats", help="analytic figure data (figures 1, 2, 3, 5, 6) as CSV")
     common(p)
@@ -325,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detection report from an existing pulse log")
     common(p)
     p.add_argument("--pulse-log", default=None)
-    p.add_argument("--calibration-trials", type=int, default=200)
+    p.add_argument("--calibration-trials", type=int, default=None)
     p.set_defaults(func=cmd_detect)
 
     for name, fn in (("reconcile-serve", cmd_reconcile_serve), ("reconcile-connect", cmd_reconcile_connect)):
@@ -333,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--key", default=None, help="key file of 0/1 characters")
         p.add_argument("--listen", default=None, help="host:port to bind (serve)")
         p.add_argument("--peer", default=None, help="host:port to connect (connect)")
-        p.add_argument("--timeout-secs", type=float, default=channel.DEFAULT_TIMEOUT)
+        p.add_argument("--timeout-secs", type=float, default=None)
         p.add_argument("--transcript", default=None, help="write hex frame transcript here")
         p.set_defaults(func=fn)
 
@@ -344,6 +362,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _load_config_defaults(args, parser)
+    for attr, default in LATE_DEFAULTS.items():
+        if getattr(args, attr, default) is None:
+            setattr(args, attr, default)
     try:
         return args.func(args, parser)
     except (PhotonStatsError, ValueError, OSError) as exc:

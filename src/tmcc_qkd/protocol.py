@@ -14,10 +14,12 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .photon_stats import IntensityParam, tmcc_distribution, tmcc_moments, tmcc_pn
-from .source import PulseRecord
+from .source import PulseBatch
 
 logger = logging.getLogger(__name__)
 
@@ -27,54 +29,64 @@ class Verdict(enum.Enum):
     MISMATCH = "mismatch"
 
 
+class MismatchReason(enum.Enum):
+    LENGTH = "length"
+    XOR_CODE = "xor-code"
+
+
 class ReconcileResult(NamedTuple):
     verdict: Verdict
     detail: str = ""
+    reason: Optional[MismatchReason] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeyMaterial:
     """A generated key with its half-code decomposition.
 
-    bits has even length (an odd trailing bit is dropped at construction).
+    bits is a read-only uint8 array of 0/1 of even length (an odd trailing
+    bit is dropped by from_bits).
     """
 
-    bits: tuple[int, ...]
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        bits = np.asarray(self.bits)
+        if bits.ndim != 1 or ((bits != 0) & (bits != 1)).any():
             raise ValueError("key bits must be 0 or 1")
-        if len(self.bits) % 2 != 0:
+        if bits.size % 2 != 0:
             raise ValueError("key length must be even; build via from_bits")
+        bits = bits.astype(np.uint8)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "KeyMaterial":
-        bits = tuple(int(b) for b in bits)
-        if len(bits) % 2 != 0:
-            logger.info("dropping odd trailing key bit (length %d)", len(bits))
+    def from_bits(cls, bits) -> "KeyMaterial":
+        bits = np.asarray(bits)
+        if bits.size % 2 != 0:
+            logger.info("dropping odd trailing key bit (length %d)", bits.size)
             bits = bits[:-1]
         return cls(bits)
 
     @property
-    def half_a(self) -> tuple[int, ...]:
-        return self.bits[: len(self.bits) // 2]
+    def half_a(self) -> np.ndarray:
+        return self.bits[: self.bits.size // 2]
 
     @property
-    def half_b(self) -> tuple[int, ...]:
-        return self.bits[len(self.bits) // 2 :]
+    def half_b(self) -> np.ndarray:
+        return self.bits[self.bits.size // 2 :]
 
     @property
-    def xor_code(self) -> tuple[int, ...]:
-        return tuple(a ^ b for a, b in zip(self.half_a, self.half_b))
+    def xor_code(self) -> np.ndarray:
+        return self.half_a ^ self.half_b
 
     def to_hex(self) -> str:
-        if not self.bits:
+        if not self.bits.size:
             return ""
-        value = int("".join(map(str, self.bits)), 2)
-        return f"{value:0{(len(self.bits) + 3) // 4}x}"
+        return f"{int(self.to_bitstring(), 2):0{(self.bits.size + 3) // 4}x}"
 
     def to_bitstring(self) -> str:
-        return "".join(map(str, self.bits))
+        return (self.bits + ord("0")).tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -100,23 +112,14 @@ class ErrorReport(NamedTuple):
     p_err: float
 
 
-def bit_from_count(n: int, threshold: int) -> int:
-    """0 for counts at or below the threshold, 1 above it."""
-    if n < 0:
-        raise ValueError("photon count must be >= 0")
-    return 1 if n > threshold else 0
-
-
-def extract_keys(pulses: Sequence[PulseRecord], threshold: int) -> tuple[KeyMaterial, KeyMaterial]:
-    """Alice's and Bob's keys from a shared pulse sequence."""
-    if len(pulses) < 2:
+def extract_keys(batch: PulseBatch, threshold: int) -> tuple[KeyMaterial, KeyMaterial]:
+    """Alice's and Bob's keys from a shared pulse batch."""
+    if len(batch) < 2:
         raise ValueError("need at least 2 pulses")
-    alice = KeyMaterial.from_bits([bit_from_count(p.n_a, threshold) for p in pulses])
-    bob = KeyMaterial.from_bits([bit_from_count(p.n_b, threshold) for p in pulses])
-    return alice, bob
+    return KeyMaterial.from_bits(batch.n_a > threshold), KeyMaterial.from_bits(batch.n_b > threshold)
 
 
-def reconcile(local: KeyMaterial, remote_xor_code: Sequence[int]) -> ReconcileResult:
+def reconcile(local: KeyMaterial, remote_xor_code) -> ReconcileResult:
     """Compare the local XOR half-code against the remote one.
 
     Equivalent to decoding the remote half-code with one local half and
@@ -124,15 +127,17 @@ def reconcile(local: KeyMaterial, remote_xor_code: Sequence[int]) -> ReconcileRe
     the same position of both halves cancel and go undetected; that is a
     protocol property, not an implementation defect.
     """
-    remote = tuple(int(b) for b in remote_xor_code)
+    remote = np.asarray(remote_xor_code)
     local_code = local.xor_code
-    if len(remote) != len(local_code):
+    if remote.size != local_code.size:
         return ReconcileResult(
-            Verdict.MISMATCH, f"length mismatch: local {len(local_code)}, remote {len(remote)}"
+            Verdict.MISMATCH,
+            f"length mismatch: local {local_code.size}, remote {remote.size}",
+            MismatchReason.LENGTH,
         )
-    if local_code == remote:
+    if np.array_equal(local_code, remote):
         return ReconcileResult(Verdict.MATCH)
-    return ReconcileResult(Verdict.MISMATCH, "xor codes differ")
+    return ReconcileResult(Verdict.MISMATCH, "xor codes differ", MismatchReason.XOR_CODE)
 
 
 def error_probability(model: ErrorModel) -> ErrorReport:

@@ -10,10 +10,10 @@ each.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+import re
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +35,28 @@ class SourceConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-@dataclass(frozen=True)
-class PulseRecord:
-    """Outcome of one pulse: counts seen by Alice, Bob and Eve plus noise flags."""
+@dataclass(frozen=True, eq=False)
+class PulseBatch:
+    """Pulse outcomes as parallel arrays: counts seen by Alice, Bob and Eve
+    plus the per-mode noise flags, one entry per pulse."""
 
-    n_a: int
-    n_b: int
-    n_e: int = 0
-    noise_a: bool = False
-    noise_b: bool = False
+    n_a: np.ndarray
+    n_b: np.ndarray
+    n_e: np.ndarray
+    noise_a: np.ndarray
+    noise_b: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = [np.asarray(getattr(self, f.name)) for f in fields(self)]
+        if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("pulse arrays must be 1-D and of equal length")
+        if any((a < 0).any() for a in arrays[:3]):
+            raise ValueError("photon counts must be >= 0")
+        for f, a in zip(fields(self), arrays):
+            object.__setattr__(self, f.name, a)
+
+    def __len__(self) -> int:
+        return len(self.n_a)
 
 
 class CorrelationReport(NamedTuple):
@@ -78,7 +91,11 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 class PulseSampler:
-    """Samples correlated TMCC pulses for one (lambda, epsilon, seed) setup."""
+    """Samples correlated TMCC pulses for one (lambda, epsilon, seed) setup.
+
+    Sub-stream 0 draws the shared photon number, sub-stream 1 the noise
+    flags; attack samplers override `_attack` only.
+    """
 
     def __init__(self, cfg: SourceConfig, tail_eps: float = TAIL_EPS):
         self.cfg = cfg
@@ -86,65 +103,74 @@ class PulseSampler:
         self._sampler = InverseCdfSampler(self.distribution, derive_rng(cfg.seed, 0))
         self._noise_rng = derive_rng(cfg.seed, 1)
 
-    def sample_batch(self, count: int) -> list[PulseRecord]:
-        n, noise_a, noise_b = self.sample_arrays(count)
-        n_a = n + noise_a
-        n_b = n + noise_b
-        return [
-            PulseRecord(int(a), int(b), 0, bool(fa), bool(fb))
-            for a, b, fa, fb in zip(n_a, n_b, noise_a, noise_b)
-        ]
+    def _attack(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bob's and Eve's counts given the shared count n; no eavesdropper."""
+        return n, np.zeros_like(n)
 
-    def sample_arrays(self, count: int):
-        """Vectorized form: (base counts, noise flags A, noise flags B)."""
+    def sample_batch(self, count: int) -> PulseBatch:
         if count < 1:
             raise ValueError("count must be >= 1")
         n = self._sampler.draw(count)
-        eps = self.cfg.noise_epsilon
-        if eps > 0.0:
-            noise_a = self._noise_rng.random(count) < eps
-            noise_b = self._noise_rng.random(count) < eps
-        else:
-            noise_a = np.zeros(count, dtype=bool)
-            noise_b = np.zeros(count, dtype=bool)
-        return n, noise_a, noise_b
-
-    def sample_pulse(self) -> PulseRecord:
-        return self.sample_batch(1)[0]
+        k, n_e = self._attack(n)
+        # at eps = 0 every flag is False, so the draws change no output
+        noise_a = self._noise_rng.random(count) < self.cfg.noise_epsilon
+        noise_b = self._noise_rng.random(count) < self.cfg.noise_epsilon
+        return PulseBatch(n + noise_a, k + noise_b, n_e, noise_a, noise_b)
 
 
-def sample_pulses(cfg: SourceConfig, count: int, tail_eps: float = TAIL_EPS) -> list[PulseRecord]:
-    """Convenience wrapper: a fresh sampler and `count` pulses from it."""
-    return PulseSampler(cfg, tail_eps).sample_batch(count)
-
-
-def correlation_report(pulses: Sequence[PulseRecord]) -> CorrelationReport:
+def correlation_report(batch: PulseBatch) -> CorrelationReport:
     """Sample covariance g_AB and Pearson correlation rho_AB of (n_a, n_b).
 
     Returns degenerate=True (with rho_ab = nan) when either margin is
     constant, e.g. at zero intensity.
     """
-    if len(pulses) < 2:
+    if len(batch) < 2:
         raise ValueError("need at least 2 pulses")
-    a = np.array([p.n_a for p in pulses], dtype=float)
-    b = np.array([p.n_b for p in pulses], dtype=float)
-    da = a - a.mean()
-    db = b - b.mean()
-    g_ab = float(np.dot(da, db)) / (len(pulses) - 1)
-    sa = math.sqrt(float(np.dot(da, da)) / (len(pulses) - 1))
-    sb = math.sqrt(float(np.dot(db, db)) / (len(pulses) - 1))
-    if sa == 0.0 or sb == 0.0:
+    (var_a, g_ab), (_, var_b) = np.cov(batch.n_a, batch.n_b)
+    if var_a == 0.0 or var_b == 0.0:
         return CorrelationReport(g_ab, math.nan, True)
-    if np.array_equal(a, b):
+    if np.array_equal(batch.n_a, batch.n_b):
         # identical margins correlate exactly; skip the lossy sqrt round trip
         return CorrelationReport(g_ab, 1.0, False)
-    return CorrelationReport(g_ab, g_ab / (sa * sb), False)
+    return CorrelationReport(g_ab, g_ab / math.sqrt(var_a * var_b), False)
 
 
-def write_pulse_log(path, pulses: Iterable[PulseRecord]) -> None:
+LOG_HEADER = "pulse_index,n_a,n_b,n_e,noise_a,noise_b"
+# CRLF line ends, as csv.writer wrote them, keep existing logs byte-identical;
+# a row is six counts >= 0 of at most 18 digits, which fit int64
+_LOG_ROW = ",".join(["%d"] * 6) + "\r\n"
+_LOG_BAD_LINE = re.compile(r"^(?![0-9]{1,18}(?:,[0-9]{1,18}){5}\r?$)", re.MULTILINE)
+_LOG_BLOCK = 1 << 14  # rows formatted per write, bounding the memory of the text
+
+
+def write_pulse_log(path, batch: PulseBatch) -> None:
     """CSV pulse log: pulse_index,n_a,n_b,n_e,noise_a,noise_b."""
+    rows = np.column_stack(
+        (np.arange(len(batch)), batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pulse_index", "n_a", "n_b", "n_e", "noise_a", "noise_b"])
-        for i, p in enumerate(pulses):
-            writer.writerow([i, p.n_a, p.n_b, p.n_e, int(p.noise_a), int(p.noise_b)])
+        fh.write(LOG_HEADER + "\r\n")
+        for start in range(0, len(rows), _LOG_BLOCK):
+            block = rows[start : start + _LOG_BLOCK]
+            fh.write((_LOG_ROW * len(block)) % tuple(block.ravel().tolist()))
+
+
+def read_pulse_log(path) -> PulseBatch:
+    """Read a log written by `write_pulse_log`.
+
+    Raises ValueError naming the file and line of the first line that is
+    not the header or a row of six counts >= 0.
+    """
+    with open(path, newline="") as fh:
+        header = fh.readline().rstrip("\r\n")
+        body = fh.read().rstrip("\r\n")
+    if header != LOG_HEADER:
+        raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {header!r}")
+    bad = _LOG_BAD_LINE.search(body)
+    if bad is not None:
+        line = body[bad.start() :].split("\n", 1)[0].rstrip("\r")
+        lineno = body.count("\n", 0, bad.start()) + 2
+        raise ValueError(f"{path}, line {lineno}: expected 6 comma-separated counts >= 0, got {line!r}")
+    flat = body.replace("\r", "").replace("\n", ",")
+    _, n_a, n_b, n_e, noise_a, noise_b = np.fromstring(flat, dtype=np.int64, sep=",").reshape(-1, 6).T
+    return PulseBatch(n_a, n_b, n_e, noise_a.astype(bool), noise_b.astype(bool))

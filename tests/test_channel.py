@@ -1,6 +1,7 @@
 import socket
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from tmcc_qkd.channel import (
     decode_frame,
     encode_frame,
     pack_bits,
+    read_frame,
     run_reconciliation_exchange,
     send_frame,
     unpack_bits,
@@ -75,18 +77,71 @@ class TestFraming:
         assert decode_frame(encode_frame(frame)) == frame
 
 
+class ChunkedTransport:
+    """Byte-stream stand-in whose recv returns the stream in preset chunks."""
+
+    def __init__(self, data: bytes, cuts):
+        bounds = sorted({c % (len(data) + 1) for c in cuts} | {0, len(data)})
+        self._chunks = [data[i:j] for i, j in zip(bounds, bounds[1:])]
+        self.consumed = 0
+
+    def recv(self, n: int) -> bytes:
+        if not self._chunks:
+            return b""
+        chunk = self._chunks[0][:n]
+        self._chunks[0] = self._chunks[0][n:]
+        if not self._chunks[0]:
+            self._chunks.pop(0)
+        self.consumed += len(chunk)
+        return chunk
+
+
+@st.composite
+def stream_bytes(draw):
+    """A valid frame or arbitrary bytes, then maybe one byte flipped, the
+    end cut off, or bytes appended."""
+    raw = draw(st.one_of(
+        st.builds(lambda t, p: encode_frame(Frame(t, p)), st.integers(0, 255), st.binary(max_size=64)),
+        st.binary(max_size=80),
+    ))
+    kind = draw(st.sampled_from(["keep", "flip", "truncate", "extend"]))
+    if kind == "flip" and raw:
+        i = draw(st.integers(0, len(raw) - 1))
+        return raw[:i] + bytes([raw[i] ^ draw(st.integers(1, 255))]) + raw[i + 1 :]
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw)))]
+    if kind == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    return raw
+
+
+class TestReadFrame:
+    @given(stream_bytes(), st.lists(st.integers(0, 200), max_size=8))
+    @settings(max_examples=300)
+    def test_agrees_with_decode_frame(self, raw, cuts):
+        transport = ChunkedTransport(raw, cuts)
+        try:
+            frame = read_frame(transport)
+        except FrameError:
+            with pytest.raises(FrameError):
+                decode_frame(raw)
+            return
+        # bytes past the frame belong to the next one and stay unread
+        assert frame == decode_frame(raw[: transport.consumed])
+
+
 class TestBitPacking:
     @given(st.lists(st.integers(0, 1), max_size=200))
     @settings(max_examples=100)
     def test_round_trip(self, bits):
-        assert unpack_bits(pack_bits(bits)) == tuple(bits)
+        assert np.array_equal(unpack_bits(pack_bits(bits)), bits)
 
     def test_msb_first(self):
         assert pack_bits([1, 0, 0, 0, 0, 0, 0, 0]) == b"\x00\x00\x00\x08\x80"
 
     def test_trailing_pad_disambiguated(self):
-        assert unpack_bits(pack_bits([1])) == (1,)
-        assert unpack_bits(pack_bits([1, 0])) == (1, 0)
+        assert unpack_bits(pack_bits([1])).tolist() == [1]
+        assert unpack_bits(pack_bits([1, 0])).tolist() == [1, 0]
 
 
 class TestExchange:

@@ -96,6 +96,25 @@ class TestScenarios:
         for name in ("pulses.csv", "alice.key", "bob.key", "report.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "row", ["0,1,x,0,0,0", "0,1,2", "0,1,-2,0,0,0"], ids=["non-integer", "short", "negative"]
+    )
+    def test_detect_bad_pulse_log_row(self, tmp_path, capsys, row):
+        log = tmp_path / "pulses.csv"
+        log.write_text("pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n" + row + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["detect", "--lambda", "2", "--pulse-log", str(log), "--calibration-trials", "100"])
+        assert excinfo.value.code == 1
+        assert f"{log}, line 3" in capsys.readouterr().err
+
+    def test_detect_pulse_log_without_n_b(self, tmp_path, capsys):
+        log = tmp_path / "pulses.csv"
+        log.write_text("pulse_index,n_a\n0,1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["detect", "--lambda", "2", "--pulse-log", str(log)])
+        assert excinfo.value.code == 1
+        assert f"{log}, line 1" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["simulate", "--out", "/tmp/x"])  # missing --lambda
@@ -137,6 +156,13 @@ class TestReconcileCli:
                     "--peer", f"127.0.0.1:{free_port()}", "--timeout-secs", "0.5"])
         assert code == 3
 
+    def test_key_file_with_bad_odd_trailing_char(self, tmp_path, capsys):
+        (tmp_path / "a.key").write_text("1010x\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["reconcile-connect", "--key", str(tmp_path / "a.key"), "--peer", "127.0.0.1:1"])
+        assert excinfo.value.code == 1
+        assert "0/1 characters" in capsys.readouterr().err
+
     def test_transcript_written(self, tmp_path):
         (tmp_path / "a.key").write_text("1011\n")
         (tmp_path / "b.key").write_text("1011\n")
@@ -166,3 +192,28 @@ class TestConfigFile:
         monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
         assert run(["stats", "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_config_seed_applies(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 7}')
+        args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "2000",
+                "--calibration-trials", "100"]
+        assert run(["--config", str(cfg), *args, "--out", str(tmp_path / "cfg")]) == 0
+        assert run([*args, "--seed", "7", "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "cfg" / "pulses.csv").read_bytes() == (tmp_path / "flag" / "pulses.csv").read_bytes()
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda": "abc"}')
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", str(cfg), "stats", "--out", str(tmp_path / "fig.csv")])
+        assert excinfo.value.code == 1
+        assert "lambda" in capsys.readouterr().err
+
+    def test_config_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lamda": 2}')
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", str(cfg), "stats", "--lambda", "2", "--out", str(tmp_path / "fig.csv")])
+        assert excinfo.value.code == 1
+        assert "lamda" in capsys.readouterr().err

@@ -21,9 +21,7 @@ def thresholds():
 
 
 def clean_counts(seed, pulses=10_000):
-    sampler = PulseSampler(SourceConfig(LAM2, seed=seed))
-    n, _, _ = sampler.sample_arrays(pulses)
-    return n
+    return PulseSampler(SourceConfig(LAM2, seed=seed)).sample_batch(pulses).n_b
 
 
 class TestEmpiricalDistribution:
@@ -85,14 +83,14 @@ class TestDetect:
 
     def test_split_flagged(self, thresholds):
         sampler = SplitPulseSampler(SourceConfig(LAM2, seed=55), SplitRatio.from_p_squared(0.5))
-        counts = [p.n_b for p in sampler.sample_batch(10_000)]
+        counts = sampler.sample_batch(10_000).n_b
         report = detect(counts, LAM2, thresholds)
         assert report.verdict is DetectionVerdict.SUSPECT_SPLIT
 
     @pytest.mark.parametrize("strategy", [CloneStrategy.TMCC_CLONE, CloneStrategy.COHERENT])
     def test_clone_flagged(self, thresholds, strategy):
         sampler = ClonePulseSampler(SourceConfig(LAM2, seed=56), strategy)
-        counts = [p.n_b for p in sampler.sample_batch(10_000)]
+        counts = sampler.sample_batch(10_000).n_b
         report = detect(counts, LAM2, thresholds)
         assert report.verdict is DetectionVerdict.SUSPECT_CLONE
 
@@ -110,7 +108,7 @@ class TestDetect:
             weak_dist_max=100.0,
         )
         sampler = SplitPulseSampler(SourceConfig(LAM2, seed=57), SplitRatio.from_p_squared(0.5))
-        counts = [p.n_b for p in sampler.sample_batch(10_000)]
+        counts = sampler.sample_batch(10_000).n_b
         report = detect(counts, LAM2, loose)
         assert report.verdict is DetectionVerdict.SUSPECT_SPLIT
 

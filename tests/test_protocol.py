@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,44 +9,55 @@ from tmcc_qkd.photon_stats import IntensityParam, tmcc_moments
 from tmcc_qkd.protocol import (
     ErrorModel,
     KeyMaterial,
+    MismatchReason,
     Verdict,
-    bit_from_count,
     error_probability,
     expected_disagreement_rate,
     extract_keys,
     reconcile,
 )
-from tmcc_qkd.source import PulseRecord, PulseSampler, SourceConfig, sample_pulses
+from tmcc_qkd.source import PulseBatch, PulseSampler, SourceConfig
 
 LAM2 = IntensityParam(2.0)
 
 
+def shared_counts(counts):
+    """A batch in which Alice and Bob both see `counts`."""
+    n = np.asarray(counts)
+    flags = np.zeros(n.shape, dtype=bool)
+    return PulseBatch(n, n, np.zeros_like(n), flags, flags)
+
+
+def alice_bits(counts, threshold):
+    return extract_keys(shared_counts(counts), threshold)[0].bits.tolist()
+
+
 class TestBitRule:
     def test_boundary_cases(self):
-        assert bit_from_count(0, 0) == 0
-        assert bit_from_count(1, 0) == 1
-        assert bit_from_count(3, 3) == 0
-        assert bit_from_count(4, 3) == 1
+        assert alice_bits([0, 1], 0) == [0, 1]
+        assert alice_bits([3, 4], 3) == [0, 1]
 
-    @given(st.integers(0, 10**6), st.integers(0, 100))
-    def test_totality(self, n, threshold):
-        assert bit_from_count(n, threshold) in (0, 1)
+    @given(st.lists(st.integers(0, 10**6), min_size=2, max_size=50), st.integers(0, 100))
+    def test_totality(self, counts, threshold):
+        bits = alice_bits(counts, threshold)
+        assert bits == [int(n > threshold) for n in counts[: len(bits)]]
+        assert len(bits) == len(counts) - len(counts) % 2
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            bit_from_count(-1, 0)
+            shared_counts([-1, 0])
 
 
 class TestKeyMaterial:
     def test_odd_trailing_bit_dropped(self):
         key = KeyMaterial.from_bits([1, 0, 1])
-        assert key.bits == (1, 0)
+        assert key.bits.tolist() == [1, 0]
 
     def test_xor_code(self):
         key = KeyMaterial.from_bits([1, 0, 1, 1, 0, 1])
-        assert key.half_a == (1, 0, 1)
-        assert key.half_b == (1, 0, 1)
-        assert key.xor_code == (0, 0, 0)
+        assert key.half_a.tolist() == [1, 0, 1]
+        assert key.half_b.tolist() == [1, 0, 1]
+        assert key.xor_code.tolist() == [0, 0, 0]
 
     def test_hex_and_bitstring(self):
         key = KeyMaterial.from_bits([1, 0, 1, 0])
@@ -56,22 +68,27 @@ class TestKeyMaterial:
         with pytest.raises(ValueError):
             KeyMaterial.from_bits([0, 2])
 
+    def test_bits_are_read_only_uint8(self):
+        key = KeyMaterial.from_bits([True, False])
+        assert key.bits.dtype == np.uint8
+        with pytest.raises(ValueError):
+            key.bits[0] = 0
+
 
 class TestExtractKeys:
     def test_noiseless_keys_identical(self):
-        pulses = sample_pulses(SourceConfig(LAM2, seed=8), 10_000)
+        batch = PulseSampler(SourceConfig(LAM2, seed=8)).sample_batch(10_000)
         threshold = int(math.floor(tmcc_moments(LAM2).mean))
-        alice, bob = extract_keys(pulses, threshold)
-        assert alice.bits == bob.bits
+        alice, bob = extract_keys(batch, threshold)
+        assert np.array_equal(alice.bits, bob.bits)
 
     def test_all_below_threshold_gives_zero_key(self):
-        pulses = [PulseRecord(1, 1), PulseRecord(0, 0), PulseRecord(2, 2), PulseRecord(1, 1)]
-        alice, _ = extract_keys(pulses, threshold=5)
-        assert set(alice.bits) == {0}
+        alice, _ = extract_keys(shared_counts([1, 0, 2, 1]), threshold=5)
+        assert alice.bits.tolist() == [0, 0, 0, 0]
 
     def test_needs_two_pulses(self):
         with pytest.raises(ValueError):
-            extract_keys([PulseRecord(1, 1)], 0)
+            extract_keys(shared_counts([1]), 0)
 
 
 class TestReconcile:
@@ -82,19 +99,22 @@ class TestReconcile:
     def test_single_flip_detected(self):
         key = KeyMaterial.from_bits([1, 0, 1, 1])
         flipped = KeyMaterial.from_bits([0, 0, 1, 1])
-        assert reconcile(flipped, key.xor_code).verdict is Verdict.MISMATCH
+        result = reconcile(flipped, key.xor_code)
+        assert result.verdict is Verdict.MISMATCH
+        assert result.reason is MismatchReason.XOR_CODE
 
     def test_coincident_double_flip_blind_spot(self):
         # flipping the same position of both halves cancels in the XOR code
         key = KeyMaterial.from_bits([1, 0, 1, 1])
         doubly_flipped = KeyMaterial.from_bits([0, 0, 0, 1])
-        assert doubly_flipped.bits != key.bits
+        assert not np.array_equal(doubly_flipped.bits, key.bits)
         assert reconcile(doubly_flipped, key.xor_code).verdict is Verdict.MATCH
 
     def test_length_mismatch_detail(self):
         key = KeyMaterial.from_bits([1, 0, 1, 1])
         result = reconcile(key, (0, 1, 0))
         assert result.verdict is Verdict.MISMATCH
+        assert result.reason is MismatchReason.LENGTH
         assert "length" in result.detail
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=64))
@@ -143,11 +163,9 @@ class TestMonteCarloErrorRate:
         # exact per-pulse rate under the per-mode single-photon noise model;
         # the paper-style eps*error_factor is its conditional approximation
         model = ErrorModel(LAM2, 0.05)
-        sampler = PulseSampler(SourceConfig(LAM2, noise_epsilon=0.05, seed=77))
-        n, noise_a, noise_b = sampler.sample_arrays(100_000)
-        bits_a = (n + noise_a) > model.threshold
-        bits_b = (n + noise_b) > model.threshold
-        rate = float((bits_a != bits_b).mean())
+        batch = PulseSampler(SourceConfig(LAM2, noise_epsilon=0.05, seed=77)).sample_batch(100_000)
+        alice, bob = extract_keys(batch, model.threshold)
+        rate = float((alice.bits != bob.bits).mean())
         expected = expected_disagreement_rate(model)
         se = math.sqrt(expected * (1.0 - expected) / 100_000)
         assert abs(rate - expected) < 3 * se

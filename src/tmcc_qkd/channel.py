@@ -22,6 +22,8 @@ MAGIC = b"TMCC"
 VERSION = 1
 HEADER = struct.Struct(">4sBBI")
 MAX_PAYLOAD = 2**20
+# longest key whose XOR code (half its bits, after the 4-byte count) fits one frame
+MAX_KEY_BITS = 2 * 8 * (MAX_PAYLOAD - 4)
 DEFAULT_TIMEOUT = 10.0
 
 
@@ -148,6 +150,14 @@ def _abort(transport, transcript: Optional[Transcript]) -> ExchangeVerdict:
     return ExchangeVerdict.ABORT
 
 
+def _check_key_fits(key: KeyMaterial) -> None:
+    if key.bits.size > MAX_KEY_BITS:
+        raise ValueError(
+            f"key of {key.bits.size} bits exceeds the {MAX_KEY_BITS}-bit limit: "
+            "its XOR code would not fit one frame"
+        )
+
+
 def run_reconciliation_exchange(
     role: Role,
     key: KeyMaterial,
@@ -160,7 +170,11 @@ def run_reconciliation_exchange(
     The initiator sends HELLO then its XOR code; the responder reconciles
     and replies with the verdict.  Any timeout, malformed frame or closed
     stream yields ABORT (after a best-effort ABORT frame to the peer).
+    An initiator key longer than MAX_KEY_BITS raises ValueError before any
+    frame is sent.
     """
+    if role is Role.INITIATOR:
+        _check_key_fits(key)
     if hasattr(transport, "settimeout"):
         transport.settimeout(timeout)
     try:
@@ -218,7 +232,11 @@ def connect_reconciliation(
     timeout: float = DEFAULT_TIMEOUT,
     transcript: Optional[Transcript] = None,
 ) -> ExchangeVerdict:
-    """Connect to a responder over TCP and run the initiator side."""
+    """Connect to a responder over TCP and run the initiator side.
+
+    A key longer than MAX_KEY_BITS raises ValueError before connecting.
+    """
+    _check_key_fits(key)
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn:
             return run_reconciliation_exchange(Role.INITIATOR, key, conn, timeout, transcript)

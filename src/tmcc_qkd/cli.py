@@ -35,7 +35,7 @@ EXIT_INTERNAL = 4
 
 CONFIG_ENV = "TMCC_QKD_CONFIG"
 # flag defaults applied after the config file is merged, so that the file can set them
-LATE_DEFAULTS = {"seed": 0, "calibration_trials": 200, "timeout_secs": channel.DEFAULT_TIMEOUT}
+LATE_DEFAULTS = {"seed": 0, "calibration_trials": 10_000, "timeout_secs": channel.DEFAULT_TIMEOUT}
 
 
 def _fmt(x: float) -> str:
@@ -53,7 +53,8 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
     """Fill in unset flags from a JSON config file (flags always win).
 
     A key may name a flag of any command; it applies to the commands that
-    have the flag, converted and checked like the flag itself.
+    have the flag, converted and checked like the flag itself; a switch
+    such as --sweep takes true or false.
     """
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
@@ -74,10 +75,14 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
         action = flags[args.command].get(attr)
         if action is None or getattr(args, attr) is not None:
             continue
-        try:
-            value = (action.type or str)(str(value))
-        except ValueError:
-            parser.error(f"config file {path}: invalid value {value!r} for {key!r}")
+        if action.nargs == 0:  # a switch such as --sweep
+            if not isinstance(value, bool):
+                parser.error(f"config file {path}: {key!r} must be true or false, got {value!r}")
+        else:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                parser.error(f"config file {path}: invalid value {value!r} for {key!r}")
         if action.choices is not None and value not in action.choices:
             parser.error(f"config file {path}: {key!r} must be one of {list(action.choices)}")
         setattr(args, attr, value)
@@ -238,8 +243,8 @@ def cmd_detect(args, parser) -> int:
 
 def _load_key(path: str, parser) -> protocol.KeyMaterial:
     try:
-        text = Path(path).read_text().strip()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="ascii").strip()
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read key file {path}: {exc}")
     bits = np.frombuffer(text.encode(), np.uint8) - ord("0")
     # any byte other than "0" or "1" wraps to a value above 1
@@ -282,7 +287,10 @@ def cmd_reconcile_connect(args, parser) -> int:
     key = _load_key(args.key, parser)
     host, port = _split_hostport(args.peer, parser)
     transcript = channel.Transcript() if args.transcript else None
-    verdict = channel.connect_reconciliation(host, port, key, args.timeout_secs, transcript)
+    try:
+        verdict = channel.connect_reconciliation(host, port, key, args.timeout_secs, transcript)
+    except ValueError as exc:
+        parser.error(f"key file {args.key}: {exc}")
     if transcript is not None:
         transcript.dump_hex(args.transcript)
     print(f"verdict={verdict.value}")
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack-split", help="beam-splitting attack scenario or --sweep data")
     common(p, pulses=True)
     p.add_argument("--split-p2", type=float, default=None, help="fraction p^2 kept by Bob")
-    p.add_argument("--sweep", action="store_true")
+    p.add_argument("--sweep", action="store_true", default=None)
     p.set_defaults(func=cmd_attack_split)
 
     p = sub.add_parser("attack-clone", help="state-cloning attack scenario")

@@ -24,12 +24,14 @@ from .photon_stats import (
     tmcc_distribution,
     tmcc_moments,
 )
-from .source import InverseCdfSampler, derive_rng
+from .source import derive_rng, folded_cdf
 
 MIN_PULSES = 1000
 # hard floor: a mean deficit this large at >= 1e4 pulses is never CLEAN
 _HARD_MEAN_RATIO = 0.75
 _HARD_MEAN_PULSES = 10_000
+# histogram cells drawn per calibration block, bounding its memory
+_CALIBRATION_BLOCK_CELLS = 1 << 16
 
 
 class DetectionVerdict(enum.Enum):
@@ -96,14 +98,51 @@ def _run_statistics(counts: np.ndarray, expected: DiagonalDensityMatrix, expecte
     return mean, q_dev, hs_distance_sq(emp_matrix, expected), weak_distance(emp_matrix, expected), emp
 
 
+def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -> np.ndarray:
+    """Mean, Mandel-Q deviation, HS^2 and weak distance (rows) of `trials`
+    clean runs of `pulses` pulses each (columns).
+
+    The run histograms come from one multinomial draw on sub-stream 10 of
+    `seed`, taken in blocks of trials; consecutive blocks continue the same
+    stream, so the block size does not change the result.
+    """
+    analytic = tmcc_distribution(lam, TAIL_EPS)
+    expected_q = tmcc_moments(lam).mandel_q
+    folded = np.diff(folded_cdf(analytic), prepend=0.0)
+    n = np.arange(folded.size)
+    rng = derive_rng(seed, 10)
+    stats = np.empty((4, trials))
+    block = max(1, _CALIBRATION_BLOCK_CELLS // folded.size)
+    for start in range(0, trials, block):
+        hist = rng.multinomial(pulses, folded, size=min(block, trials - start))
+        # integer moment sums are exact, so no row depends on the block shape
+        mean = (hist @ n) / pulses
+        positive = mean > 0
+        q = ((hist @ (n * n)) / pulses - mean**2) / np.where(positive, mean, 1.0) - 1.0
+        d = hist / pulses - analytic.probs
+        stats[:, start : start + len(hist)] = (
+            mean,
+            np.where(positive, np.abs(q - expected_q), abs(expected_q)),
+            np.einsum("ij,ij->i", d, d),
+            np.abs(d).max(axis=1),
+        )
+    return stats
+
+
 def calibrate_thresholds(
     lam: IntensityParam,
     pulses: int,
-    trials: int = 1000,
+    trials: int = 10_000,
     seed: int = 0,
     alpha: float = 0.01,
 ) -> DetectionThresholds:
     """Set thresholds from the clean-run Monte Carlo null distribution.
+
+    A clean run of `pulses` iid draws from the TMCC law, with the tail
+    folded into the last bin, has a histogram distributed exactly as
+    Multinomial(pulses, folded_probs), and the four statistics depend on
+    the run only through its histogram. So the trials are drawn as
+    histograms, and the cost depends on the cutoff, not on `pulses`.
 
     The false-alarm budget alpha is split Bonferroni-style: alpha/4 to each
     of the two-sided mean check, the Mandel deviation, and the two
@@ -111,19 +150,9 @@ def calibrate_thresholds(
     """
     if trials < 100:
         raise ValueError("need at least 100 calibration trials")
-    analytic = tmcc_distribution(lam, TAIL_EPS)
-    expected = DiagonalDensityMatrix(analytic)
-    expected_q = tmcc_moments(lam).mandel_q
-    means = np.empty(trials)
-    q_devs = np.empty(trials)
-    hs_vals = np.empty(trials)
-    weak_vals = np.empty(trials)
-    for t in range(trials):
-        sampler = InverseCdfSampler(analytic, derive_rng(seed, 10, t))
-        counts = sampler.draw(pulses)
-        means[t], q_devs[t], hs_vals[t], weak_vals[t], _ = _run_statistics(
-            counts, expected, expected_q
-        )
+    if pulses < 1:
+        raise ValueError("need at least 1 calibration pulse")
+    means, q_devs, hs_vals, weak_vals = _null_statistics(lam, pulses, trials, seed)
     per_stat = alpha / 4.0
     return DetectionThresholds(
         mean_low=float(np.quantile(means, per_stat / 2.0)),

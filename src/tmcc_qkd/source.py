@@ -65,6 +65,14 @@ class CorrelationReport(NamedTuple):
     degenerate: bool
 
 
+def folded_cdf(dist: PhotonDistribution) -> np.ndarray:
+    """Cumulative probabilities of `dist` with the residual tail folded into
+    the last bin, so that the last entry is exactly 1."""
+    cdf = np.cumsum(dist.probs)
+    cdf[-1] = 1.0
+    return cdf
+
+
 class InverseCdfSampler:
     """Inverse-CDF sampler over a truncated photon-number distribution.
 
@@ -74,9 +82,7 @@ class InverseCdfSampler:
     """
 
     def __init__(self, dist: PhotonDistribution, rng: np.random.Generator):
-        cdf = np.cumsum(dist.probs)
-        cdf[-1] = 1.0
-        self._cdf = cdf
+        self._cdf = folded_cdf(dist)
         self._rng = rng
 
     def draw(self, size: int | None = None):
@@ -159,11 +165,15 @@ def read_pulse_log(path) -> PulseBatch:
     """Read a log written by `write_pulse_log`.
 
     Raises ValueError naming the file and line of the first line that is
-    not the header or a row of six counts >= 0.
+    not the header or a row of six counts >= 0, or naming the file if it is
+    not ASCII text.
     """
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        body = fh.read().rstrip("\r\n")
+    try:
+        with open(path, newline="", encoding="ascii") as fh:
+            header = fh.readline().rstrip("\r\n")
+            body = fh.read().rstrip("\r\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text: {exc}") from exc
     if header != LOG_HEADER:
         raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {header!r}")
     bad = _LOG_BAD_LINE.search(body)

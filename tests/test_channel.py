@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcc_qkd.channel import (
+    MAX_KEY_BITS,
+    MAX_PAYLOAD,
     ExchangeVerdict,
     Frame,
     FrameError,
     MsgType,
     Role,
     Transcript,
+    connect_reconciliation,
     decode_frame,
     encode_frame,
     pack_bits,
@@ -217,3 +220,43 @@ class TestExchange:
         left.close()
         right.close()
         assert verdict is ExchangeVerdict.ABORT
+
+
+class RecordingTransport:
+    """Collects what is sent and replies with prepared bytes; no socket."""
+
+    def __init__(self, reply: bytes = b""):
+        self.sent = b""
+        self._reply = reply
+
+    def sendall(self, data: bytes) -> None:
+        self.sent += data
+
+    def recv(self, n: int) -> bytes:
+        chunk, self._reply = self._reply[:n], self._reply[n:]
+        return chunk
+
+
+class TestKeyBitLimit:
+    def test_longest_key_fills_one_frame(self):
+        key = KeyMaterial(np.zeros(MAX_KEY_BITS, np.uint8))
+        payload = pack_bits(key.xor_code)
+        assert len(payload) == MAX_PAYLOAD
+        transport = RecordingTransport(encode_frame(Frame(MsgType.VERDICT, b"\x01")))
+        assert run_reconciliation_exchange(Role.INITIATOR, key, transport) is ExchangeVerdict.MATCH
+        assert transport.sent == encode_frame(Frame(MsgType.HELLO)) + encode_frame(
+            Frame(MsgType.XOR_CODE, payload)
+        )
+
+    def test_longer_key_refused_before_any_frame(self):
+        key = KeyMaterial(np.zeros(MAX_KEY_BITS + 2, np.uint8))
+        with pytest.raises(FrameError):
+            Frame(MsgType.XOR_CODE, pack_bits(key.xor_code))
+        transport = RecordingTransport()
+        limit = f"{MAX_KEY_BITS + 2} bits exceeds the {MAX_KEY_BITS}-bit limit"
+        with pytest.raises(ValueError, match=limit):
+            run_reconciliation_exchange(Role.INITIATOR, key, transport)
+        assert transport.sent == b""
+        # refused before connecting: port 1 would otherwise give ABORT
+        with pytest.raises(ValueError, match=limit):
+            connect_reconciliation("127.0.0.1", 1, key)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from tmcc_qkd import cli
+from tmcc_qkd import channel, cli
 
 
 def run(argv):
@@ -163,6 +163,24 @@ class TestReconcileCli:
         assert excinfo.value.code == 1
         assert "0/1 characters" in capsys.readouterr().err
 
+    def test_key_file_with_non_ascii_byte(self, tmp_path, capsys):
+        key = tmp_path / "a.key"
+        key.write_bytes(b"10\xff1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["reconcile-connect", "--key", str(key), "--peer", "127.0.0.1:1"])
+        assert excinfo.value.code == 1
+        assert f"cannot read key file {key}" in capsys.readouterr().err
+
+    def test_key_over_frame_limit_refused_before_connecting(self, tmp_path, capsys, monkeypatch):
+        # the real limit needs a 16.7M-bit key file; a lowered one takes the same path
+        monkeypatch.setattr(channel, "MAX_KEY_BITS", 4)
+        key = tmp_path / "a.key"
+        key.write_text("101100\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["reconcile-connect", "--key", str(key), "--peer", f"127.0.0.1:{free_port()}"])
+        assert excinfo.value.code == 1
+        assert f"key file {key}: key of 6 bits exceeds the 4-bit limit" in capsys.readouterr().err
+
     def test_transcript_written(self, tmp_path):
         (tmp_path / "a.key").write_text("1011\n")
         (tmp_path / "b.key").write_text("1011\n")
@@ -209,6 +227,22 @@ class TestConfigFile:
             run(["--config", str(cfg), "stats", "--out", str(tmp_path / "fig.csv")])
         assert excinfo.value.code == 1
         assert "lambda" in capsys.readouterr().err
+
+    def test_config_switch_applies(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep": true}')
+        out = tmp_path / "sw.csv"
+        assert run(["--config", str(cfg), "attack-split", "--lambda", "2", "--out", str(out)]) == 0
+        assert run(["attack-split", "--lambda", "2", "--sweep", "--out", str(tmp_path / "flag.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    def test_config_switch_not_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep": "yes"}')
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", str(cfg), "attack-split", "--lambda", "2", "--out", str(tmp_path / "sw.csv")])
+        assert excinfo.value.code == 1
+        assert "'sweep' must be true or false" in capsys.readouterr().err
 
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from scipy import stats
 
+from tmcc_qkd import detection
 from tmcc_qkd.attacks import ClonePulseSampler, CloneStrategy, SplitPulseSampler, SplitRatio
+from tmcc_qkd.density_ops import DiagonalDensityMatrix
 from tmcc_qkd.detection import (
     DetectionThresholds,
     DetectionVerdict,
+    _null_statistics,
+    _run_statistics,
     calibrate_thresholds,
     detect,
     empirical_distribution,
 )
-from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution
-from tmcc_qkd.source import InverseCdfSampler, PulseSampler, SourceConfig, derive_rng
+from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
+from tmcc_qkd.source import InverseCdfSampler, PulseSampler, SourceConfig, derive_rng, folded_cdf
 
 LAM2 = IntensityParam(2.0)
 
@@ -22,6 +27,19 @@ def thresholds():
 
 def clean_counts(seed, pulses=10_000):
     return PulseSampler(SourceConfig(LAM2, seed=seed)).sample_batch(pulses).n_b
+
+
+def per_pulse_null(lam, pulses, trials, seed):
+    """Oracle for `_null_statistics`: the per-pulse calibration loop, one
+    inverse-CDF run of `pulses` draws per trial on sub-stream (10, t)."""
+    analytic = tmcc_distribution(lam)
+    expected = DiagonalDensityMatrix(analytic)
+    expected_q = tmcc_moments(lam).mandel_q
+    runs = [
+        _run_statistics(InverseCdfSampler(analytic, derive_rng(seed, 10, t)).draw(pulses), expected, expected_q)[:4]
+        for t in range(trials)
+    ]
+    return np.array(runs).T
 
 
 class TestEmpiricalDistribution:
@@ -71,6 +89,45 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_thresholds(LAM2, pulses=1000, trials=10)
 
+    def test_no_pulses_rejected(self):
+        with pytest.raises(ValueError):
+            calibrate_thresholds(LAM2, pulses=0, trials=100)
+
+    def test_default_trials_resolve_the_mean_quantile(self):
+        # alpha/8 of the default trials is a dozen runs below mean_low, not none
+        th = calibrate_thresholds(LAM2, pulses=10_000, seed=5)
+        means = _null_statistics(LAM2, 10_000, th.calibration_trials, 5)[0]
+        assert th.calibration_trials == 10_000
+        assert 5 <= (means < th.mean_low).sum() <= 20
+        assert 5 <= (means > th.mean_high).sum() <= 20
+
+
+class TestNullStatistics:
+    @pytest.mark.parametrize("lam, pulses", [(2.0, 1000), (0.05, 3), (8.0, 50)])
+    def test_rows_equal_per_run_statistics(self, lam, pulses):
+        # each multinomial row, expanded back to counts, gives the same four statistics
+        lam = IntensityParam(lam)
+        analytic = tmcc_distribution(lam)
+        folded = np.diff(folded_cdf(analytic), prepend=0.0)
+        hists = derive_rng(8, 10).multinomial(pulses, folded, size=200)
+        null = _null_statistics(lam, pulses, 200, 8)
+        expected = DiagonalDensityMatrix(analytic)
+        for t, hist in enumerate(hists):
+            counts = np.repeat(np.arange(folded.size), hist)
+            run = _run_statistics(counts, expected, tmcc_moments(lam).mandel_q)[:4]
+            np.testing.assert_allclose(null[:, t], run, rtol=1e-12, atol=1e-15)
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        whole = _null_statistics(LAM2, 5000, 300, 3)
+        monkeypatch.setattr(detection, "_CALIBRATION_BLOCK_CELLS", 40)
+        np.testing.assert_array_equal(_null_statistics(LAM2, 5000, 300, 3), whole)
+
+    def test_agrees_with_per_pulse_oracle(self):
+        oracle = per_pulse_null(LAM2, 2000, 500, seed=31)
+        null = _null_statistics(LAM2, 2000, 5000, seed=32)
+        for row in (0, 2):  # mean and HS^2
+            assert stats.ks_2samp(oracle[row], null[row]).pvalue > 1e-3
+
 
 class TestDetect:
     def test_clean_runs_mostly_clean(self, thresholds):
@@ -80,6 +137,17 @@ class TestDetect:
             for k in range(100)
         )
         assert flags <= 3  # calibrated union false-alarm rate is <= 1%
+
+    def test_held_out_union_false_alarm_at_most_alpha(self):
+        # clean runs from the real sampler on seeds the calibration never saw
+        runs = 400
+        thresholds = calibrate_thresholds(LAM2, pulses=10_000, seed=4040)
+        flags = sum(
+            detect(clean_counts(seed=70_000 + k), LAM2, thresholds).verdict
+            is not DetectionVerdict.CLEAN
+            for k in range(runs)
+        )
+        assert flags <= stats.binom.ppf(1 - 1e-4, runs, thresholds.alpha)
 
     def test_split_flagged(self, thresholds):
         sampler = SplitPulseSampler(SourceConfig(LAM2, seed=55), SplitRatio.from_p_squared(0.5))

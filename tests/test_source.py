@@ -145,6 +145,12 @@ class TestPulseLog:
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + ".*" + re.escape(repr(row))):
             read_pulse_log(path)
 
+    def test_non_ascii_byte_names_file(self, tmp_path):
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(b"pulse_index,n_a,n_b,n_e,noise_a,noise_b\r\n0,1,\xff,0,0,0\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not ASCII text")):
+            read_pulse_log(path)
+
     def test_missing_column_names_line_one(self, tmp_path):
         path = tmp_path / "pulses.csv"
         path.write_text("pulse_index,n_a\n0,1\n")

@@ -3,9 +3,9 @@
 Beam splitting diverts amplitude fraction q of Bob's mode to Eve; given a
 total count n the photons partition binomially with per-photon probability
 p^2 toward Bob.  The closed-form marginal below is validated in the test
-suite against the brute-force binomial mixture, which is the authoritative
-reference (the two agree only for the lambda^m numerator, not the
-lambda^(2m) variant).
+suite against the brute-force binomial mixture (tests/oracles.py), which is
+the authoritative reference (the two agree only for the lambda^m numerator,
+not the lambda^(2m) variant).
 
 State cloning re-emits toward Bob a fresh state whose mean photon number
 matches what Eve measured; three re-emission strategies are modeled.
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import binom
 
 from .density_ops import DiagonalDensityMatrix
 from .photon_stats import (
@@ -32,7 +30,6 @@ from .photon_stats import (
     log_bessel_i,
     poisson_distribution,
     tmcc_distribution,
-    tmcc_moments,
 )
 from .source import InverseCdfSampler, PulseSampler, SourceConfig, derive_rng
 
@@ -99,23 +96,6 @@ def split_marginal_eve(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAI
     return split_marginal_bob(lam, SplitRatio(r.q, r.p), tail_eps)
 
 
-def split_marginal_binomial(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
-    """Brute-force oracle for Bob's split marginal.
-
-    Mixes Binomial(n, p^2) over the TMCC law for n directly; slower than the
-    closed form but an independent consequence of the amplitude split.
-    """
-    base = tmcc_distribution(lam, tail_eps)
-    size = base.probs.size
-    p_sq = r.p**2
-    probs = np.zeros(size)
-    ks = np.arange(size)
-    for n in range(size):
-        probs += base.probs[n] * binom.pmf(ks, n, p_sq)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return PhotonDistribution(probs, tail_mass=tail)
-
-
 class SplitPulseSampler(PulseSampler):
     """Samples pulses through Eve's beam splitter: n_a = n, n_b + n_e = n."""
 
@@ -136,15 +116,37 @@ def _mean_of_lambda(x: float) -> float:
 
 
 def lambda_for_mean(target: float) -> IntensityParam:
-    """Invert the mean photon number: the unique lambda with <N>(lambda) = target."""
+    """Invert the mean photon number: the unique lambda with <N>(lambda) = target.
+
+    Safeguarded Newton iteration on [0, MAX_LAMBDA] with the closed-form
+    slope d<N>/dlambda = 2 Var(N) / lambda = 2 (lambda^2 - <N>^2) / lambda
+    (since <N^2> = lambda^2); a step that leaves the bracket on the root is
+    replaced by bisection.
+    """
     if not math.isfinite(target) or target < 0.0:
         raise PhotonStatsError("target mean must be finite and >= 0")
     if target == 0.0:
         return IntensityParam(0.0)
     if target > _mean_of_lambda(MAX_LAMBDA):
         raise PhotonStatsError(f"mean {target} not reachable below lambda ceiling {MAX_LAMBDA}")
-    root = brentq(lambda x: _mean_of_lambda(x) - target, 0.0, MAX_LAMBDA, xtol=1e-12)
-    return IntensityParam(float(root))
+    # <N> ~ lambda^2 for small lambda and lambda - 1/4 for large lambda
+    x = math.sqrt(target) if target < 1.0 else target + 0.25
+    lo, hi = 0.0, MAX_LAMBDA
+    for _ in range(100):
+        mean = _mean_of_lambda(x)
+        if mean > target:
+            hi = x
+        else:
+            lo = x
+        new = x - (mean - target) * x / (2.0 * (x * x - mean * mean))
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        # after a Newton step this small only the rounding of <N> is left
+        done = abs(new - x) <= 1e-10 * x
+        x = new
+        if done:
+            break
+    return IntensityParam(x)
 
 
 @lru_cache(maxsize=4096)

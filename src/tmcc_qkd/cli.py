@@ -81,20 +81,41 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
         else:
             try:
                 value = (action.type or str)(str(value))
-            except ValueError:
-                parser.error(f"config file {path}: invalid value {value!r} for {key!r}")
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                parser.error(f"config file {path}: invalid value {value!r} for {key!r}: {exc}")
         if action.choices is not None and value not in action.choices:
             parser.error(f"config file {path}: {key!r} must be one of {list(action.choices)}")
         setattr(args, attr, value)
 
 
-def _intensity(args, parser) -> IntensityParam:
-    if args.lam is None:
+def _checked(convert, check):
+    """An argparse type: `convert` the text, then hand the value to `check`,
+    whose ValueError becomes a usage error naming the flag (or config key)."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_VACUUM = IntensityParam(0.0)
+_LAMBDA = _checked(float, IntensityParam)
+_EPSILON = _checked(float, lambda eps: SourceConfig(_VACUUM, noise_epsilon=eps))
+_SEED = _checked(int, lambda seed: SourceConfig(_VACUUM, seed=seed))
+_SPLIT_P2 = _checked(float, attacks.SplitRatio.from_p_squared)
+_TRIALS = _checked(int, detection.check_trials)
+
+
+def _intensity(args, parser, default: float | None = None) -> IntensityParam:
+    if args.lam is None and default is None:
         parser.error("--lambda is required for this command")
-    try:
-        return IntensityParam(float(args.lam))
-    except PhotonStatsError as exc:
-        parser.error(str(exc))
+    return IntensityParam(default if args.lam is None else args.lam)
 
 
 def _outdir(args, parser) -> Path:
@@ -151,7 +172,7 @@ def _figure_rows(figure: int, lam: IntensityParam):
 
 def cmd_stats(args, parser) -> int:
     figure = args.figure if args.figure is not None else 1
-    lam = IntensityParam(float(args.lam)) if args.lam is not None else IntensityParam(2.0)
+    lam = _intensity(args, parser, default=2.0)
     if args.out is None:
         parser.error("--out is required for stats")
     header, rows = _figure_rows(figure, lam)
@@ -161,7 +182,7 @@ def cmd_stats(args, parser) -> int:
 
 def cmd_figures(args, parser) -> int:
     out = _outdir(args, parser)
-    lam = IntensityParam(float(args.lam)) if args.lam is not None else IntensityParam(2.0)
+    lam = _intensity(args, parser, default=2.0)
     for figure in (1, 2, 3, 5, 6):
         header, rows = _figure_rows(figure, lam)
         _write_csv(out / f"figure{figure}.csv", header, rows)
@@ -312,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, pulses=False):
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=None)
+        p.add_argument("--epsilon", type=_EPSILON, default=None)
+        p.add_argument("--seed", type=_SEED, default=None)
         p.add_argument("--out", default=None)
         if pulses:
             p.add_argument("--pulses", type=int, default=None)
-            p.add_argument("--calibration-trials", type=int, default=None)
+            p.add_argument("--calibration-trials", type=_TRIALS, default=None)
 
     p = sub.add_parser("stats", help="analytic figure data (figures 1, 2, 3, 5, 6) as CSV")
     common(p)
@@ -335,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack-split", help="beam-splitting attack scenario or --sweep data")
     common(p, pulses=True)
-    p.add_argument("--split-p2", type=float, default=None, help="fraction p^2 kept by Bob")
+    p.add_argument("--split-p2", type=_SPLIT_P2, default=None, help="fraction p^2 kept by Bob")
     p.add_argument("--sweep", action="store_true", default=None)
     p.set_defaults(func=cmd_attack_split)
 
@@ -351,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detection report from an existing pulse log")
     common(p)
     p.add_argument("--pulse-log", default=None)
-    p.add_argument("--calibration-trials", type=int, default=None)
+    p.add_argument("--calibration-trials", type=_TRIALS, default=None)
     p.set_defaults(func=cmd_detect)
 
     for name, fn in (("reconcile-serve", cmd_reconcile_serve), ("reconcile-connect", cmd_reconcile_connect)):

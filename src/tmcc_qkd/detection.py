@@ -129,6 +129,12 @@ def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -
     return stats
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a calibration with fewer than 100 clean trials."""
+    if trials < 100:
+        raise ValueError("need at least 100 calibration trials")
+
+
 def calibrate_thresholds(
     lam: IntensityParam,
     pulses: int,
@@ -148,8 +154,7 @@ def calibrate_thresholds(
     of the two-sided mean check, the Mandel deviation, and the two
     distances, so the union false-alarm rate stays at or below alpha.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 calibration trials")
+    check_trials(trials)
     if pulses < 1:
         raise ValueError("need at least 1 calibration pulse")
     means, q_devs, hs_vals, weak_vals = _null_statistics(lam, pulses, trials, seed)

@@ -17,7 +17,6 @@ from tmcc_qkd.attacks import (
     SplitRatio,
     cloned_bob_matrix,
     lambda_for_mean,
-    split_marginal_binomial,
     split_marginal_bob,
     split_marginal_eve,
 )
@@ -25,6 +24,8 @@ from tmcc_qkd.density_ops import DiagonalDensityMatrix, hs_distance_sq, weak_dis
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from tmcc_qkd.protocol import ErrorModel, KeyMaterial, Verdict, error_probability, reconcile
 from tmcc_qkd.source import PulseSampler, SourceConfig, correlation_report
+
+from oracles import split_marginal_binomial
 
 LAM2 = IntensityParam(2.0)
 

@@ -11,18 +11,20 @@ from tmcc_qkd.attacks import (
     cloned_bob_matrix,
     lambda_for_mean,
     lambda_of_n,
-    split_marginal_binomial,
     split_marginal_bob,
     split_marginal_eve,
 )
 from tmcc_qkd.density_ops import DiagonalDensityMatrix, hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import (
+    MAX_LAMBDA,
     IntensityParam,
     PhotonStatsError,
     tmcc_distribution,
     tmcc_moments,
 )
 from tmcc_qkd.source import SourceConfig
+
+from oracles import split_marginal_binomial
 
 LAM2 = IntensityParam(2.0)
 
@@ -158,6 +160,24 @@ class TestLambdaInversion:
     def test_negative_raises(self):
         with pytest.raises(PhotonStatsError):
             lambda_of_n(-1)
+
+    def test_agrees_with_brentq(self):
+        from scipy.optimize import brentq
+
+        targets = [1e-9, 1e-3, *range(50), 49.74, *np.linspace(0.0, 49.74, 200)]
+        for target in map(float, targets):
+            got = lambda_for_mean(target).magnitude
+            want = brentq(
+                lambda x: tmcc_moments(IntensityParam(x)).mean - target, 0.0, MAX_LAMBDA, xtol=1e-12
+            )
+            assert abs(got - want) <= 2e-12, target
+            residual = tmcc_moments(IntensityParam(got)).mean - target
+            assert abs(residual) / max(1.0, target) <= 1e-13, target
+
+    @pytest.mark.parametrize("target", [-1e-9, math.nan, math.inf, 49.75])
+    def test_bad_target_raises(self, target):
+        with pytest.raises(PhotonStatsError):
+            lambda_for_mean(target)
 
 
 class TestCloning:

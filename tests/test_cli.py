@@ -120,6 +120,24 @@ class TestScenarios:
             run(["simulate", "--out", "/tmp/x"])  # missing --lambda
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["stats", "--lambda", "60"], "--lambda"),
+            (["figures", "--lambda", "-1"], "--lambda"),
+            (["simulate", "--lambda", "2", "--pulses", "100", "--epsilon", "0.7"], "--epsilon"),
+            (["simulate", "--lambda", "2", "--pulses", "100", "--seed", "-1"], "--seed"),
+            (["attack-split", "--lambda", "2", "--pulses", "100", "--split-p2", "1.5"], "--split-p2"),
+            (["simulate", "--lambda", "2", "--pulses", "100", "--calibration-trials", "0"],
+             "--calibration-trials"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+
 
 class TestReconcileCli:
     def _exchange(self, tmp_path, key_a: str, key_b: str):

@@ -49,6 +49,10 @@ class FrameError(ValueError):
     """Malformed or oversized frame."""
 
 
+class KeySizeError(ValueError):
+    """Initiator key whose XOR code would not fit one frame."""
+
+
 @dataclass(frozen=True)
 class Frame:
     msg_type: int
@@ -152,7 +156,7 @@ def _abort(transport, transcript: Optional[Transcript]) -> ExchangeVerdict:
 
 def _check_key_fits(key: KeyMaterial) -> None:
     if key.bits.size > MAX_KEY_BITS:
-        raise ValueError(
+        raise KeySizeError(
             f"key of {key.bits.size} bits exceeds the {MAX_KEY_BITS}-bit limit: "
             "its XOR code would not fit one frame"
         )
@@ -170,7 +174,7 @@ def run_reconciliation_exchange(
     The initiator sends HELLO then its XOR code; the responder reconciles
     and replies with the verdict.  Any timeout, malformed frame or closed
     stream yields ABORT (after a best-effort ABORT frame to the peer).
-    An initiator key longer than MAX_KEY_BITS raises ValueError before any
+    An initiator key longer than MAX_KEY_BITS raises KeySizeError before any
     frame is sent.
     """
     if role is Role.INITIATOR:
@@ -234,7 +238,7 @@ def connect_reconciliation(
 ) -> ExchangeVerdict:
     """Connect to a responder over TCP and run the initiator side.
 
-    A key longer than MAX_KEY_BITS raises ValueError before connecting.
+    A key longer than MAX_KEY_BITS raises KeySizeError before connecting.
     """
     _check_key_fits(key)
     try:

@@ -34,6 +34,9 @@ EXIT_ABORT = 3
 EXIT_INTERNAL = 4
 
 CONFIG_ENV = "TMCC_QKD_CONFIG"
+# at their peaks a scenario holds about 35 bytes per pulse and `detect` about
+# 60, so 1e8 pulses need about 6 GB; larger counts are refused at parse time
+MAX_PULSES = 100_000_000
 # flag defaults applied after the config file is merged, so that the file can set them
 LATE_DEFAULTS = {"seed": 0, "calibration_trials": 10_000, "timeout_secs": channel.DEFAULT_TIMEOUT}
 
@@ -110,6 +113,28 @@ _EPSILON = _checked(float, lambda eps: SourceConfig(_VACUUM, noise_epsilon=eps))
 _SEED = _checked(int, lambda seed: SourceConfig(_VACUUM, seed=seed))
 _SPLIT_P2 = _checked(float, attacks.SplitRatio.from_p_squared)
 _TRIALS = _checked(int, detection.check_trials)
+
+
+def _check_pulses(count: int) -> None:
+    if not 2 <= count <= MAX_PULSES:
+        raise ValueError(f"pulse count must be in [2, {MAX_PULSES}], got {count}")
+
+
+def _check_timeout(seconds: float) -> None:
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"timeout must be a finite number of seconds > 0, got {seconds}")
+
+
+def _host_port(text: str) -> tuple[str, int]:
+    """argparse type for --listen and --peer."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected host:port with a port in [0, 65535], got {text!r}")
+    return host, int(port)
+
+
+_PULSES = _checked(int, _check_pulses)
+_TIMEOUT = _checked(float, _check_timeout)
 
 
 def _intensity(args, parser, default: float | None = None) -> IntensityParam:
@@ -218,8 +243,8 @@ def _report(args, lam: IntensityParam, counts: np.ndarray, out) -> int:
 
 def _scenario_args(args, parser):
     lam = _intensity(args, parser)
-    if args.pulses is None or args.pulses < 2:
-        parser.error("--pulses must be >= 2")
+    if args.pulses is None:
+        parser.error("--pulses is required for this command")
     cfg = SourceConfig(lam, noise_epsilon=args.epsilon or 0.0, seed=args.seed)
     return lam, cfg, _outdir(args, parser)
 
@@ -274,13 +299,6 @@ def _load_key(path: str, parser) -> protocol.KeyMaterial:
     return protocol.KeyMaterial.from_bits(bits)
 
 
-def _split_hostport(value: str, parser):
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        parser.error(f"expected host:port, got {value!r}")
-    return host, int(port)
-
-
 def _exchange_exit(verdict: channel.ExchangeVerdict) -> int:
     if verdict is channel.ExchangeVerdict.MATCH:
         return EXIT_OK
@@ -293,9 +311,8 @@ def cmd_reconcile_serve(args, parser) -> int:
     if args.listen is None or args.key is None:
         parser.error("reconcile-serve requires --listen and --key")
     key = _load_key(args.key, parser)
-    host, port = _split_hostport(args.listen, parser)
     transcript = channel.Transcript() if args.transcript else None
-    verdict = channel.serve_reconciliation(host, port, key, args.timeout_secs, transcript)
+    verdict = channel.serve_reconciliation(*args.listen, key, args.timeout_secs, transcript)
     if transcript is not None:
         transcript.dump_hex(args.transcript)
     print(f"verdict={verdict.value}")
@@ -306,11 +323,10 @@ def cmd_reconcile_connect(args, parser) -> int:
     if args.peer is None or args.key is None:
         parser.error("reconcile-connect requires --peer and --key")
     key = _load_key(args.key, parser)
-    host, port = _split_hostport(args.peer, parser)
     transcript = channel.Transcript() if args.transcript else None
     try:
-        verdict = channel.connect_reconciliation(host, port, key, args.timeout_secs, transcript)
-    except ValueError as exc:
+        verdict = channel.connect_reconciliation(*args.peer, key, args.timeout_secs, transcript)
+    except channel.KeySizeError as exc:
         parser.error(f"key file {args.key}: {exc}")
     if transcript is not None:
         transcript.dump_hex(args.transcript)
@@ -338,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_SEED, default=None)
         p.add_argument("--out", default=None)
         if pulses:
-            p.add_argument("--pulses", type=int, default=None)
+            p.add_argument("--pulses", type=_PULSES, default=None)
             p.add_argument("--calibration-trials", type=_TRIALS, default=None)
 
     p = sub.add_parser("stats", help="analytic figure data (figures 1, 2, 3, 5, 6) as CSV")
@@ -378,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("reconcile-serve", cmd_reconcile_serve), ("reconcile-connect", cmd_reconcile_connect)):
         p = sub.add_parser(name, help="two-process XOR-code reconciliation")
         p.add_argument("--key", default=None, help="key file of 0/1 characters")
-        p.add_argument("--listen", default=None, help="host:port to bind (serve)")
-        p.add_argument("--peer", default=None, help="host:port to connect (connect)")
-        p.add_argument("--timeout-secs", type=float, default=None)
+        p.add_argument("--listen", type=_host_port, default=None, help="host:port to bind (serve)")
+        p.add_argument("--peer", type=_host_port, default=None, help="host:port to connect (connect)")
+        p.add_argument("--timeout-secs", type=_TIMEOUT, default=None)
         p.add_argument("--transcript", default=None, help="write hex frame transcript here")
         p.set_defaults(func=fn)
 
@@ -396,7 +412,7 @@ def main(argv=None) -> int:
             setattr(args, attr, default)
     try:
         return args.func(args, parser)
-    except (PhotonStatsError, ValueError, OSError) as exc:
+    except (PhotonStatsError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

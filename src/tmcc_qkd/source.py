@@ -11,7 +11,6 @@ each.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -144,25 +143,89 @@ def correlation_report(batch: PulseBatch) -> CorrelationReport:
 LOG_HEADER = "pulse_index,n_a,n_b,n_e,noise_a,noise_b"
 # CRLF line ends, as csv.writer wrote them, keep existing logs byte-identical;
 # a row is six counts >= 0 of at most 18 digits, which fit int64
-_LOG_ROW = ",".join(["%d"] * 6) + "\r\n"
-_LOG_BAD_LINE = re.compile(r"^(?![0-9]{1,18}(?:,[0-9]{1,18}){5}\r?$)", re.MULTILINE)
-_LOG_BLOCK = 1 << 14  # rows formatted per write, bounding the memory of the text
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # up to the largest below the int64 maximum
+_LOG_BLOCK_ROWS = 4096  # rows formatted per write, bounding the memory of the text
+_LOG_READ_CHARS = 1 << 16  # text checked and parsed per step, in whole lines
+_ROW_SEPARATORS = b",,,,,\n"
 
 
 def write_pulse_log(path, batch: PulseBatch) -> None:
-    """CSV pulse log: pulse_index,n_a,n_b,n_e,noise_a,noise_b."""
-    rows = np.column_stack(
-        (np.arange(len(batch)), batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write(LOG_HEADER + "\r\n")
-        for start in range(0, len(rows), _LOG_BLOCK):
-            block = rows[start : start + _LOG_BLOCK]
-            fh.write((_LOG_ROW * len(block)) % tuple(block.ravel().tolist()))
+    """CSV pulse log: pulse_index,n_a,n_b,n_e,noise_a,noise_b.
+
+    Each block of rows is one fixed-width byte array: every field gets the
+    width of its column's largest value, filled with decimal digits, and the
+    leading zeros are dropped by one boolean compress before the write.
+    """
+    n = len(batch)
+    columns = (None, batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
+    widths = [len(str(max(n - 1, 0)))] + [len(str(int(c.max(initial=0)))) for c in columns[1:]]
+    ends = np.cumsum(np.add(widths, 1))  # one past each field's separator
+    text = np.empty((min(n, _LOG_BLOCK_ROWS), ends[-1] + 1), np.uint8)
+    text[:, ends - 1] = ord(",")
+    text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    keep = np.ones(text.shape, bool)
+    with open(path, "wb") as fh:
+        fh.write(LOG_HEADER.encode() + b"\r\n")
+        for start in range(0, n, _LOG_BLOCK_ROWS):
+            stop = min(start + _LOG_BLOCK_ROWS, n)
+            rows = stop - start
+            for column, width, end in zip(columns, widths, ends):
+                x = np.arange(start, stop) if column is None else np.asarray(column[start:stop], np.int64)
+                first = end - 1 - width
+                # the i-th of the field's digits is a leading zero when x < 10**(width-1-i)
+                keep[:rows, first : end - 2] = x[:, None] >= _POW10[width - 1 : 0 : -1]
+                for pos in range(end - 2, first - 1, -1):
+                    quotient = x // 10
+                    text[:rows, pos] = x - 10 * quotient + ord("0")
+                    x = quotient
+            fh.write(text[:rows][keep[:rows]])
+
+
+def _read_rows(text: bytes, out: np.ndarray) -> tuple[int, int | None]:
+    """Parse LF-terminated lines of six counts into the five count columns of
+    `out`; pulse_index is checked but not parsed.
+
+    Returns the number of rows and None, or, if some line is not six tokens
+    of 1-18 digits, 0 and the index of the first such line.
+    """
+    a = np.frombuffer(text, np.uint8)
+    cr = a == ord("\r")
+    if cr.any():  # a CR that ends a line goes; a lone CR stays, to fail below
+        cr[:-1] &= a[1:] == ord("\n")
+        a = a[~cr]
+    sep = np.flatnonzero(a < ord("0"))  # a row's separators are ",,,,,\n"
+    found = a[sep]
+    gaps = np.diff(sep)  # one more than the length of each token after the first
+    rows = sep.size // 6
+    if not (
+        found.tobytes() == _ROW_SEPARATORS * rows  # so rows >= 1 and gaps is not empty
+        and 1 <= sep[0] <= 18
+        and gaps.min() >= 2
+        and gaps.max() <= 19
+        and a.max() <= ord("9")
+    ):
+        lengths = np.diff(sep, prepend=-1) - 1
+        bad = np.concatenate(
+            (
+                sep[found != np.resize(np.frombuffer(_ROW_SEPARATORS, np.uint8), sep.size)][:1],
+                sep[(lengths < 1) | (lengths > 18)][:1],
+                np.flatnonzero(a > ord("9"))[:1],
+            )
+        )
+        return 0, int(np.count_nonzero(a[: bad.min()] == ord("\n")))
+    ends = sep.reshape(rows, 6)
+    for k in range(1, 6):
+        end = ends[:, k]
+        width = end - ends[:, k - 1]  # the token and the separator before it
+        value = a[end - 1].astype(np.int64) - ord("0")
+        for j in range(2, width.max()):  # the j-th digit from the right, where there is one
+            value += np.where(width > j, a.take(end - j, mode="clip") - ord("0"), 0) * _POW10[j - 1]
+        out[:rows, k - 1] = value
+    return rows, None
 
 
 def read_pulse_log(path) -> PulseBatch:
-    """Read a log written by `write_pulse_log`.
+    """Read a log written by `write_pulse_log`; LF line ends are accepted too.
 
     Raises ValueError naming the file and line of the first line that is
     not the header or a row of six counts >= 0, or naming the file if it is
@@ -176,11 +239,17 @@ def read_pulse_log(path) -> PulseBatch:
         raise ValueError(f"{path}: not ASCII text: {exc}") from exc
     if header != LOG_HEADER:
         raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {header!r}")
-    bad = _LOG_BAD_LINE.search(body)
-    if bad is not None:
-        line = body[bad.start() :].split("\n", 1)[0].rstrip("\r")
-        lineno = body.count("\n", 0, bad.start()) + 2
-        raise ValueError(f"{path}, line {lineno}: expected 6 comma-separated counts >= 0, got {line!r}")
-    flat = body.replace("\r", "").replace("\n", ",")
-    _, n_a, n_b, n_e, noise_a, noise_b = np.fromstring(flat, dtype=np.int64, sep=",").reshape(-1, 6).T
+    counts = np.empty((body.count("\n") + 1, 5), np.int64)
+    row = start = 0
+    while start <= len(body):
+        stop = body.find("\n", start + _LOG_READ_CHARS) + 1 or len(body) + 1
+        block = body[start:stop] if stop <= len(body) else body[start:] + "\n"
+        rows, bad = _read_rows(block.encode(), counts[row:])
+        if bad is not None:
+            line = block.split("\n")[bad].rstrip("\r")
+            raise ValueError(
+                f"{path}, line {row + bad + 2}: expected 6 comma-separated counts >= 0, got {line!r}"
+            )
+        row, start = row + rows, stop
+    n_a, n_b, n_e, noise_a, noise_b = counts.T
     return PulseBatch(n_a, n_b, n_e, noise_a.astype(bool), noise_b.astype(bool))

@@ -139,6 +139,29 @@ class TestScenarios:
         assert f"argument {flag}:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("pulses", ["100000000000", str(cli.MAX_PULSES + 1), "1"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_pulse_count_out_of_range_refused_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                              pulses, via_config):
+        def no_sampler(*_):
+            raise AssertionError("sampler built for an out-of-range pulse count")
+
+        monkeypatch.setattr(cli, "PulseSampler", no_sampler)
+        argv = ["simulate", "--lambda", "2", "--out", str(tmp_path / "out")]
+        if via_config:
+            (tmp_path / "cfg.json").write_text('{"pulses": %s}' % pulses)
+            argv = ["--config", str(tmp_path / "cfg.json")] + argv
+        else:
+            argv += ["--pulses", pulses]
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert ("'pulses'" if via_config else "argument --pulses:") in err
+        assert f"[2, {cli.MAX_PULSES}]" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestReconcileCli:
     def _exchange(self, tmp_path, key_a: str, key_b: str):
         (tmp_path / "a.key").write_text(key_a + "\n")
@@ -198,6 +221,27 @@ class TestReconcileCli:
             run(["reconcile-connect", "--key", str(key), "--peer", f"127.0.0.1:{free_port()}"])
         assert excinfo.value.code == 1
         assert f"key file {key}: key of 6 bits exceeds the 4-bit limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["reconcile-connect", "--peer", "127.0.0.1:99999", "--timeout-secs", "1"], "--peer"),
+            (["reconcile-connect", "--peer", "127.0.0.1:", "--timeout-secs", "1"], "--peer"),
+            (["reconcile-serve", "--listen", "127.0.0.1:70000", "--timeout-secs", "1"], "--listen"),
+            (["reconcile-connect", "--peer", "127.0.0.1:1", "--timeout-secs", "-1"], "--timeout-secs"),
+            (["reconcile-connect", "--peer", "127.0.0.1:1", "--timeout-secs", "0"], "--timeout-secs"),
+            (["reconcile-connect", "--peer", "127.0.0.1:1", "--timeout-secs", "nan"], "--timeout-secs"),
+            (["reconcile-serve", "--listen", "127.0.0.1:0", "--timeout-secs", "inf"], "--timeout-secs"),
+        ],
+    )
+    def test_bad_address_or_timeout_is_usage_error(self, tmp_path, capsys, argv, flag):
+        (tmp_path / "a.key").write_text("1010\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--key", str(tmp_path / "a.key")])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "key file" not in err
 
     def test_transcript_written(self, tmp_path):
         (tmp_path / "a.key").write_text("1011\n")

@@ -2,7 +2,10 @@ import math
 import re
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from tmcc_qkd.source import (
@@ -155,4 +158,117 @@ class TestPulseLog:
         path = tmp_path / "pulses.csv"
         path.write_text("pulse_index,n_a\n0,1\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 1: ")):
+            read_pulse_log(path)
+
+
+# one write block is 4096 rows; 20 000 rows of small counts span several read blocks
+LOG_SIZES = st.sampled_from([1, 2, 4095, 4096, 4097, 20_000])
+CODEC_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def pulse_batches(draw, sizes=LOG_SIZES):
+    """Batches whose counts have 1 to `digits` digits (at most 18) per entry."""
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = [rng.integers(0, 10 ** rng.integers(1, draw(st.integers(1, 18)) + 1, n)) for _ in range(3)]
+    flags = rng.random((2, n)) < draw(st.floats(0.0, 1.0))
+    return PulseBatch(*counts, *flags)
+
+
+def read_outcome(read, path):
+    """The batch `read` returns, as lists and dtypes, or its ValueError text."""
+    try:
+        batch = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(getattr(batch, f).tolist(), getattr(batch, f).dtype) for f in FIELDS]
+
+
+def oracle_log(path, batch) -> bytes:
+    oracles.write_pulse_log(path, batch)
+    return path.read_bytes()
+
+
+def assert_reads_like_oracle(path, data: bytes):
+    path.write_bytes(data)
+    assert read_outcome(read_pulse_log, path) == read_outcome(oracles.read_pulse_log, path)
+
+
+def replace_line(data: bytes, index: int, line: bytes) -> bytes:
+    """Replace line `index` (0 is the header) of the CRLF-separated lines, modulo their count."""
+    lines = data.split(b"\r\n")
+    lines[index % len(lines)] = line
+    return b"\r\n".join(lines)
+
+
+class TestPulseLogCodec:
+    """The block codec against the `%d` writer and the regex reader it replaced."""
+
+    @CODEC_SETTINGS
+    @given(batch=pulse_batches())
+    def test_writer_bytes_match_oracle(self, tmp_path, batch):
+        path = tmp_path / "pulses.csv"
+        write_pulse_log(path, batch)
+        assert path.read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
+
+    def test_writer_empty_batch_is_header_only(self, tmp_path):
+        empty = np.zeros(0, np.int64)
+        batch = PulseBatch(empty, empty, empty, empty.astype(bool), empty.astype(bool))
+        write_pulse_log(tmp_path / "pulses.csv", batch)
+        assert (tmp_path / "pulses.csv").read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
+
+    @CODEC_SETTINGS
+    @given(
+        batch=pulse_batches(sizes=st.sampled_from([1, 3, 40, 20_000])),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "lf", "empty-line", "long-token"]),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from(b"0123456789,\r\n -+.x\x00"),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_reader_matches_oracle(self, tmp_path, batch, edits):
+        data = oracle_log(tmp_path / "oracle.csv", batch)
+        for kind, where, byte in edits:
+            at = int(where * len(data))
+            if kind == "insert":
+                data = data[:at] + bytes([byte]) + data[at:]
+            elif kind == "delete":
+                data = data[:at] + data[at + 1 :]
+            elif kind == "lf":  # LF-only line ends from here on
+                data = data[:at] + data[at:].replace(b"\r\n", b"\n")
+            else:
+                data = replace_line(data, at, b"" if kind == "empty-line" else b"0," + b"7" * 19 + b",1,1,0,0")
+        assert_reads_like_oracle(tmp_path / "pulses.csv", data)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: d[:60] + b"5" + d[60:], id="inserted-byte"),
+            pytest.param(lambda d: d[:60] + d[61:], id="deleted-byte"),
+            pytest.param(lambda d: replace_line(d, 3, b"2,1\r,1,0,0,0"), id="lone-cr"),
+            pytest.param(lambda d: replace_line(d, 3, b"2,1,1,0,0,0\r"), id="cr-cr-lf"),
+            pytest.param(lambda d: d.replace(b"\r\n", b"\n", 7), id="mixed-lf-crlf"),
+            pytest.param(lambda d: replace_line(d, 5, b""), id="empty-line"),
+            pytest.param(lambda d: replace_line(d, 5, b"4," + b"1" * 19 + b",1,1,0,0"), id="19-digit-token"),
+            pytest.param(lambda d: replace_line(d, 1, b"1" * 19 + b",1,1,0,0,0"), id="19-digit-first-token"),
+            pytest.param(lambda d: replace_line(d, 19_000, b"18999,2,2,0,x,0"), id="later-read-block"),
+            pytest.param(lambda d: d + b"\r\n\r\n", id="trailing-blank-lines"),
+            pytest.param(lambda d: d[: d.index(b"\n") + 1], id="header-only"),
+        ],
+    )
+    def test_reader_matches_oracle_on_named_edits(self, tmp_path, edit):
+        batch = sample(SourceConfig(LAM2, noise_epsilon=0.3, seed=71), 20_000)
+        assert_reads_like_oracle(tmp_path / "pulses.csv", edit(oracle_log(tmp_path / "oracle.csv", batch)))
+
+    def test_bad_line_in_later_read_block_is_numbered(self, tmp_path):
+        batch = sample(SourceConfig(LAM2, seed=73), 20_000)
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(replace_line(oracle_log(tmp_path / "oracle.csv", batch), 19_000, b"18999,2,2"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 19001: ") + ".*'18999,2,2'"):
             read_pulse_log(path)

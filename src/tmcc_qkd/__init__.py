@@ -3,11 +3,10 @@ correlated (TMCC) laser beams."""
 
 from .photon_stats import (
     MAX_LAMBDA, TAIL_EPS, IntensityParam, MomentSummary, PhotonDistribution,
-    PhotonStatsError, bessel_i, log_bessel_i, poisson_distribution, tmcc_distribution,
-    tmcc_moments, tmcc_pn,
+    PhotonStatsError, poisson_distribution, tmcc_distribution, tmcc_moments, tmcc_weights,
 )
 from .density_ops import (
-    DiagonalDensityMatrix, DistanceReport, distance_report, hs_distance_sq, weak_distance,
+    DistanceReport, distance_report, hs_distance_sq, weak_distance,
 )
 from .source import (
     CorrelationReport, PulseBatch, PulseSampler, SourceConfig, correlation_report,
@@ -18,7 +17,7 @@ from .attacks import (
     lambda_for_mean, lambda_of_n, split_marginal_bob, split_marginal_eve,
 )
 from .protocol import (
-    ErrorModel, ErrorReport, KeyMaterial, MismatchReason, ReconcileResult, Verdict,
+    ErrorModel, ErrorReport, KeyMaterial, MismatchReason, ReconcileResult,
     error_probability, expected_disagreement_rate, extract_keys, reconcile,
 )
 from .channel import (
@@ -32,16 +31,15 @@ from .detection import (
 
 __all__ = [
     "MAX_LAMBDA", "TAIL_EPS", "IntensityParam", "MomentSummary", "PhotonDistribution",
-    "PhotonStatsError", "bessel_i", "log_bessel_i", "poisson_distribution", "tmcc_distribution",
-    "tmcc_moments", "tmcc_pn",
-    "DiagonalDensityMatrix", "DistanceReport", "distance_report", "hs_distance_sq",
-    "weak_distance",
+    "PhotonStatsError", "poisson_distribution", "tmcc_distribution", "tmcc_moments",
+    "tmcc_weights",
+    "DistanceReport", "distance_report", "hs_distance_sq", "weak_distance",
     "CorrelationReport", "PulseBatch", "PulseSampler", "SourceConfig", "correlation_report",
     "read_pulse_log", "write_pulse_log",
     "ClonePulseSampler", "CloneStrategy", "SplitPulseSampler", "SplitRatio",
     "cloned_bob_matrix", "lambda_for_mean", "lambda_of_n", "split_marginal_bob",
     "split_marginal_eve",
-    "ErrorModel", "ErrorReport", "KeyMaterial", "MismatchReason", "ReconcileResult", "Verdict",
+    "ErrorModel", "ErrorReport", "KeyMaterial", "MismatchReason", "ReconcileResult",
     "error_probability", "expected_disagreement_rate", "extract_keys", "reconcile",
     "ExchangeVerdict", "Frame", "FrameError", "MsgType", "Role", "Transcript", "decode_frame",
     "encode_frame", "run_reconciliation_exchange",

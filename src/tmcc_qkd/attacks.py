@@ -2,10 +2,9 @@
 
 Beam splitting diverts amplitude fraction q of Bob's mode to Eve; given a
 total count n the photons partition binomially with per-photon probability
-p^2 toward Bob.  The closed-form marginal below is validated in the test
-suite against the brute-force binomial mixture (tests/oracles.py), which is
-the authoritative reference (the two agree only for the lambda^m numerator,
-not the lambda^(2m) variant).
+p^2 toward Bob, so Bob's marginal is that binomial mixed over the TMCC law.
+The test suite checks it against the closed form
+lambda^m p^(2m) I_m(2 q lambda) / (q^m m! I_0(2 lambda)) (tests/oracles.py).
 
 State cloning re-emits toward Bob a fresh state whose mean photon number
 matches what Eve measured; three re-emission strategies are modeled.
@@ -20,18 +19,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density_ops import DiagonalDensityMatrix
 from .photon_stats import (
     MAX_LAMBDA,
     TAIL_EPS,
     IntensityParam,
     PhotonDistribution,
     PhotonStatsError,
-    log_bessel_i,
+    _LOG_FACTORIAL,
+    _N,
     poisson_distribution,
     tmcc_distribution,
+    tmcc_weights,
 )
 from .source import InverseCdfSampler, PulseSampler, SourceConfig, derive_rng
+
+# the split mixture runs over every n with P_n at or above this
+_MIX_FLOOR = 1e-22
 
 
 @dataclass(frozen=True)
@@ -70,25 +73,28 @@ class CloneStrategy(enum.Enum):
 def split_marginal_bob(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
     """Bob's photon-number marginal after an amplitude split (p toward Bob).
 
-    Closed form lambda^m p^(2m) I_m(2 q lambda) / (q^m m! I_0(2 lambda)),
-    evaluated in log-domain; limits p=1 (no split) and p=0 (vacuum at Bob)
-    are handled exactly.
+    The TMCC law mixed over Binomial(n, p^2), P @ B, with B built in the log
+    domain; n runs until P_n is negligible, not just to the source cutoff,
+    and Bob's k to the source cutoff.  Limits p=1 (no split) and p=0 (vacuum
+    at Bob) are handled exactly.
     """
     m = lam.magnitude
     if r.q == 0.0 or m == 0.0:
         return tmcc_distribution(lam, tail_eps)
     if r.p == 0.0:
         return PhotonDistribution(np.array([1.0]))
-    base = tmcc_distribution(lam, tail_eps)
-    log_i0 = log_bessel_i(0, 2.0 * m)
-    log_coef = math.log(m) + 2.0 * math.log(r.p) - math.log(r.q)
-    probs = np.empty(base.probs.size)
-    for k in range(probs.size):
-        probs[k] = math.exp(
-            k * log_coef - math.lgamma(k + 1) + log_bessel_i(k, 2.0 * r.q * m) - log_i0
-        )
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return PhotonDistribution(probs, tail_mass=tail)
+    k = np.arange(tmcc_distribution(lam, tail_eps).probs.size)
+    w = tmcc_weights(m)
+    n = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)[:, None]
+    j = n - k  # photons toward Eve
+    log_b = np.where(
+        j >= 0,
+        _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[abs(j)]
+        + k * math.log(r.p**2) + j * math.log(r.q**2),
+        -np.inf,
+    )
+    probs = w[: n.size] @ np.exp(log_b)
+    return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
 def split_marginal_eve(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
@@ -110,9 +116,7 @@ class SplitPulseSampler(PulseSampler):
 
 
 def _mean_of_lambda(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return x * math.exp(log_bessel_i(1, 2.0 * x) - log_bessel_i(0, 2.0 * x))
+    return float(_N @ tmcc_weights(x))
 
 
 def lambda_for_mean(target: float) -> IntensityParam:
@@ -169,8 +173,8 @@ def _clone_inner_law(n: int, strategy: CloneStrategy, tail_eps: float) -> Photon
 
 def cloned_bob_matrix(
     lam: IntensityParam, strategy: CloneStrategy, tail_eps: float = TAIL_EPS
-) -> DiagonalDensityMatrix:
-    """Density matrix Bob measures when Eve intercepts and re-emits clones.
+) -> PhotonDistribution:
+    """Density matrix (its diagonal) Bob measures when Eve intercepts and re-emits clones.
 
     Mixture over Eve's measured n (TMCC-weighted) of the strategy's
     re-emission law with mean n; truncation remainders are folded back by
@@ -183,7 +187,7 @@ def cloned_bob_matrix(
     for w, inner in zip(outer.probs, inners):
         probs[: inner.probs.size] += w * inner.probs
     probs /= probs.sum()
-    return DiagonalDensityMatrix(PhotonDistribution(probs))
+    return PhotonDistribution(probs)
 
 
 class ClonePulseSampler(PulseSampler):
@@ -206,7 +210,7 @@ class ClonePulseSampler(PulseSampler):
     def _attack(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # ascending distinct n sharing sub-stream 3: this order fixes the outputs for a seed
         k = np.empty_like(n)
-        for value in np.unique(n):
+        for value in np.flatnonzero(np.bincount(n)):  # np.unique would import numpy.ma
             mask = n == value
             k[mask] = self._inner_sampler(int(value)).draw(int(mask.sum()))
         return k, n

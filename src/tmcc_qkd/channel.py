@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol import KeyMaterial, MismatchReason, Verdict, reconcile
+from .protocol import ExchangeVerdict, KeyMaterial, MismatchReason, reconcile
 
 MAGIC = b"TMCC"
 VERSION = 1
@@ -37,12 +37,6 @@ class MsgType(enum.IntEnum):
 class Role(enum.Enum):
     INITIATOR = "initiator"
     RESPONDER = "responder"
-
-
-class ExchangeVerdict(enum.Enum):
-    MATCH = "match"
-    MISMATCH = "mismatch"
-    ABORT = "abort"
 
 
 class FrameError(ValueError):
@@ -197,13 +191,11 @@ def run_reconciliation_exchange(
         if code.msg_type != MsgType.XOR_CODE:
             return _abort(transport, transcript)
         result = reconcile(key, unpack_bits(code.payload))
-        payload = bytes([1 if result.verdict is Verdict.MATCH else 0])
+        payload = bytes([result.verdict is ExchangeVerdict.MATCH])
         if result.reason is MismatchReason.LENGTH:
             payload += b"\x01"  # detail byte: length mismatch
         send_frame(transport, Frame(MsgType.VERDICT, payload), transcript)
-        return (
-            ExchangeVerdict.MATCH if result.verdict is Verdict.MATCH else ExchangeVerdict.MISMATCH
-        )
+        return result.verdict
     except (FrameError, OSError):
         return _abort(transport, transcript)
 

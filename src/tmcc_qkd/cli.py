@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, channel, detection, protocol
-from .density_ops import DiagonalDensityMatrix, hs_distance_sq, weak_distance
+from .density_ops import hs_distance_sq, weak_distance
 from .photon_stats import (
     IntensityParam,
     PhotonStatsError,
@@ -175,12 +175,12 @@ def _figure_rows(figure: int, lam: IntensityParam):
             rows.append((m.mean, m.variance, m.mean))  # Poisson variance = mean
         return ["mean_n", "sigma2_tmcc", "sigma2_poisson"], rows
     if figure in (5, 6):
-        original = DiagonalDensityMatrix(tmcc_distribution(lam))
+        original = tmcc_distribution(lam)
         rows = []
         for p_sq in np.linspace(1.0, 0.0, 21):
             r = attacks.SplitRatio.from_p_squared(float(p_sq))
-            bob = DiagonalDensityMatrix(attacks.split_marginal_bob(lam, r))
-            eve = DiagonalDensityMatrix(attacks.split_marginal_eve(lam, r))
+            bob = attacks.split_marginal_bob(lam, r)
+            eve = attacks.split_marginal_eve(lam, r)
             rows.append(
                 (
                     r.p,
@@ -189,10 +189,13 @@ def _figure_rows(figure: int, lam: IntensityParam):
                     weak_distance(bob, original),
                 )
             )
-        if figure == 6:
-            return ["p", "weak_dist"], [(p, w) for p, _, _, w in rows]
-        return ["p", "hs_dist_bob", "hs_dist_eve", "weak_dist"], rows
+        return _figure6(rows) if figure == 6 else (["p", "hs_dist_bob", "hs_dist_eve", "weak_dist"], rows)
     raise ValueError(f"unknown figure {figure}")
+
+
+def _figure6(figure5_rows):
+    """Figure 6 is figure 5's weak-distance column."""
+    return ["p", "weak_dist"], [(p, w) for p, _, _, w in figure5_rows]
 
 
 def cmd_stats(args, parser) -> int:
@@ -208,9 +211,10 @@ def cmd_stats(args, parser) -> int:
 def cmd_figures(args, parser) -> int:
     out = _outdir(args, parser)
     lam = _intensity(args, parser, default=2.0)
-    for figure in (1, 2, 3, 5, 6):
+    for figure in (1, 2, 3, 5):
         header, rows = _figure_rows(figure, lam)
         _write_csv(out / f"figure{figure}.csv", header, rows)
+    _write_csv(out / "figure6.csv", *_figure6(rows))  # rows: figure 5's, the last written
     return EXIT_OK
 
 

@@ -1,35 +1,19 @@
-"""Diagonal density matrices and the two distance metrics used for
-eavesdrop detection.
+"""The two distance metrics used for eavesdrop detection.
 
 Every state compared in this toolkit is diagonal in the photon-number
 basis (Alice's measurement kills off-diagonal terms), so a density matrix
-is just a photon-number distribution, and the Hilbert-Schmidt and weak
-norms reduce to vector norms of the probability difference.
+is just a photon-number distribution (a `PhotonDistribution`), and the
+Hilbert-Schmidt and weak norms reduce to vector norms of the probability
+difference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .photon_stats import PhotonDistribution
-
-
-@dataclass(frozen=True)
-class DiagonalDensityMatrix:
-    """Density matrix diagonal in the Fock basis; trace = 1 up to the
-    distribution's tracked tail."""
-
-    diag: PhotonDistribution
-
-    @property
-    def tail_mass(self) -> float:
-        return self.diag.tail_mass
-
-    def mandel_q(self) -> float:
-        return self.diag.mandel_q()
 
 
 class DistanceReport(NamedTuple):
@@ -38,8 +22,8 @@ class DistanceReport(NamedTuple):
     tail_error_bound: float
 
 
-def _padded(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix):
-    pa, pb = a.diag.probs, b.diag.probs
+def _padded(a: PhotonDistribution, b: PhotonDistribution):
+    pa, pb = a.probs, b.probs
     n = max(pa.size, pb.size)
     if pa.size < n:
         pa = np.pad(pa, (0, n - pa.size))
@@ -48,7 +32,7 @@ def _padded(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix):
     return pa, pb
 
 
-def hs_distance_sq(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix) -> float:
+def hs_distance_sq(a: PhotonDistribution, b: PhotonDistribution) -> float:
     """Squared Hilbert-Schmidt distance: sum_n (P_n - Q_n)^2 over the
     zero-padded common range."""
     pa, pb = _padded(a, b)
@@ -56,13 +40,13 @@ def hs_distance_sq(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix) -> float:
     return float(np.dot(d, d))
 
 
-def weak_distance(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix) -> float:
+def weak_distance(a: PhotonDistribution, b: PhotonDistribution) -> float:
     """Weak-norm distance: max_n |P_n - Q_n| over the padded common range."""
     pa, pb = _padded(a, b)
     return float(np.max(np.abs(pa - pb)))
 
 
-def tail_error_bound(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix) -> float:
+def tail_error_bound(a: PhotonDistribution, b: PhotonDistribution) -> float:
     """Upper bound on the truncation error of either distance.
 
     Each operand's untracked tail can contribute at most tail_mass to any
@@ -72,6 +56,6 @@ def tail_error_bound(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix) -> floa
     return a.tail_mass**2 + b.tail_mass**2 + a.tail_mass + b.tail_mass
 
 
-def distance_report(a: DiagonalDensityMatrix, b: DiagonalDensityMatrix) -> DistanceReport:
+def distance_report(a: PhotonDistribution, b: PhotonDistribution) -> DistanceReport:
     """Both distances plus the truncation-tail error bound."""
     return DistanceReport(hs_distance_sq(a, b), weak_distance(a, b), tail_error_bound(a, b))

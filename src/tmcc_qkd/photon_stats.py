@@ -6,7 +6,8 @@ numbers in both modes; the single-mode counting statistics are
     P_n = |lambda|^(2n) / (I_0(2|lambda|) * n!^2)
 
 which fall off like 1/n!^2 and are strongly sub-Poissonian.  Everything
-here is a pure function of the intensity parameter |lambda|.
+here is a pure function of the intensity parameter |lambda|, computed from
+one table of log n! over the grid n = 0.._MAX_CUTOFF.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 MAX_LAMBDA = 50.0
 TAIL_EPS = 1e-12
 
-# switch P_n evaluation to log-domain above this n (n!^2 overflows near 150)
-_LOG_DOMAIN_N = 20
 _MAX_CUTOFF = int(10 * MAX_LAMBDA + 100)
+_N = np.arange(_MAX_CUTOFF + 1)
+_LOG_FACTORIAL = np.array([math.lgamma(n + 1) for n in range(_MAX_CUTOFF + 1)])
 
 
 class PhotonStatsError(ValueError):
@@ -117,97 +118,34 @@ class MomentSummary:
     degenerate: bool = False
 
 
-def bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function of the first kind I_order(x), x >= 0.
+def tmcc_weights(m: float) -> np.ndarray:
+    """P_n proportional to m^(2n) / n!^2 over the whole grid n = 0.._MAX_CUTOFF.
 
-    Direct power series with term-ratio stopping; adequate to full double
-    precision for the x <= 2*MAX_LAMBDA range used here.  Forward recurrence
-    is avoided on purpose (unstable for I_n).
+    Formed and normalised in the log domain, so no term overflows; the
+    normaliser is the grid's sum, I_0(2m) up to terms that underflow.
     """
-    if order < 0:
-        raise PhotonStatsError("order must be >= 0")
-    if x < 0.0:
-        raise PhotonStatsError("argument must be >= 0")
-    if x > 2.0 * MAX_LAMBDA:
-        raise PhotonStatsError(f"argument {x} outside supported range [0, {2 * MAX_LAMBDA}]")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    half = 0.5 * x
-    if order <= _LOG_DOMAIN_N:
-        term = half**order / math.factorial(order)
-    else:
-        # scaled first term; underflows cleanly to 0 for very high orders
-        term = math.exp(order * math.log(half) - math.lgamma(order + 1))
-        if term == 0.0:
-            return 0.0
-    total = term
-    k = 1
-    while True:
-        term *= half * half / (k * (order + k))
-        total += term
-        if term <= total * 1e-17:
-            return total
-        k += 1
-
-
-def log_bessel_i(order: int, x: float) -> float:
-    """log I_order(x) without intermediate overflow/underflow (x > 0)."""
-    if order < 0 or x < 0.0:
-        raise PhotonStatsError("order and argument must be >= 0")
-    if x == 0.0:
-        if order == 0:
-            return 0.0
-        return -math.inf
-    half = 0.5 * x
-    lead = order * math.log(half) - math.lgamma(order + 1)
-    # series factor sum_k (x/2)^{2k} * order! / (k! (order+k)!) >= 1
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= half * half / (k * (order + k))
-        total += term
-        if term <= total * 1e-17:
-            break
-        k += 1
-    return lead + math.log(total)
-
-
-def tmcc_pn(lam: IntensityParam, n: int) -> float:
-    """Probability of registering n photons in one mode of a TMCC beam."""
-    if n < 0:
-        raise PhotonStatsError("photon number must be >= 0")
-    m = lam.magnitude
+    if not math.isfinite(m) or m < 0.0:
+        raise PhotonStatsError(f"intensity magnitude must be finite and >= 0, got {m}")
     if m == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if n <= _LOG_DOMAIN_N:
-        return m ** (2 * n) / (bessel_i(0, 2.0 * m) * math.factorial(n) ** 2)
-    logp = 2 * n * math.log(m) - 2.0 * math.lgamma(n + 1) - log_bessel_i(0, 2.0 * m)
-    return math.exp(logp)
+        return (_N == 0).astype(float)
+    log_w = 2.0 * math.log(m) * _N - 2.0 * _LOG_FACTORIAL
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
 
 
-def _truncated(pn, ratio, tail_eps: float) -> PhotonDistribution:
-    """Build a distribution from term values and the term-ratio function.
+def _cut(w: np.ndarray, ratio: np.ndarray, tail_eps: float) -> PhotonDistribution:
+    """Truncate the grid weights `w` whose term ratios w_(n+1)/w_n are `ratio`.
 
-    Stops at the first index where the geometric tail bound drops below
-    `tail_eps`; the bound applies once the ratio is below 1/2 and decreasing.
+    The cutoff is the first index where the ratio is below 1/2 (and falling)
+    and the geometric tail bound w_n r_n / (1 - r_n) is below `tail_eps`.
     """
-    probs = []
-    n = 0
-    while True:
-        p = pn(n)
-        probs.append(p)
-        r = ratio(n)
-        if r < 0.5:
-            tail_bound = p * r / (1.0 - r)
-            if tail_bound < tail_eps:
-                break
-        n += 1
-        if n > _MAX_CUTOFF:
-            raise CutoffNotFoundError(f"no truncation point found below index {_MAX_CUTOFF}")
-    arr = np.array(probs, dtype=float)
-    tail = max(0.0, 1.0 - float(arr.sum()))
-    return PhotonDistribution(arr, tail_mass=tail)
+    small = ratio < 0.5
+    bound = w * ratio / np.where(small, 1.0 - ratio, 1.0)
+    hits = np.flatnonzero(small & (bound < tail_eps))
+    if not hits.size:
+        raise CutoffNotFoundError(f"no truncation point found below index {_MAX_CUTOFF}")
+    probs = w[: hits[0] + 1]
+    return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
 def tmcc_distribution(lam: IntensityParam, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
@@ -217,12 +155,7 @@ def tmcc_distribution(lam: IntensityParam, tail_eps: float = TAIL_EPS) -> Photon
     m = lam.magnitude
     if m == 0.0:
         return PhotonDistribution(np.array([1.0]))
-    m2 = m * m
-    return _truncated(
-        lambda n: tmcc_pn(lam, n),
-        lambda n: m2 / ((n + 1) * (n + 1)),
-        tail_eps,
-    )
+    return _cut(tmcc_weights(m), m * m / (_N + 1.0) ** 2, tail_eps)
 
 
 def poisson_distribution(mean: float, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
@@ -233,24 +166,20 @@ def poisson_distribution(mean: float, tail_eps: float = TAIL_EPS) -> PhotonDistr
         raise PhotonStatsError("tail_eps must be in (0, 1e-6]")
     if mean == 0.0:
         return PhotonDistribution(np.array([1.0]))
-
-    def pn(n: int) -> float:
-        return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
-
-    return _truncated(pn, lambda n: mean / (n + 1), tail_eps)
+    w = np.exp(-mean + math.log(mean) * _N - _LOG_FACTORIAL)
+    return _cut(w, mean / (_N + 1.0), tail_eps)
 
 
 def tmcc_moments(lam: IntensityParam) -> MomentSummary:
-    """Closed-form mean, second moment, variance and Mandel Q of a TMCC beam.
+    """Mean, second moment, variance and Mandel Q of a TMCC beam.
 
-    mean = |lambda| * I_1(2|lambda|) / I_0(2|lambda|) and <N^2> = |lambda|^2;
-    both verified against direct series summation of n*P_n and n^2*P_n.
+    The mean is sum_n n P_n over the whole grid, which is
+    |lambda| I_1(2|lambda|) / I_0(2|lambda|); <N^2> = |lambda|^2 exactly.
     """
     m = lam.magnitude
     if m == 0.0:
         return MomentSummary(0.0, 0.0, 0.0, 0.0, degenerate=True)
-    ratio = bessel_i(1, 2.0 * m) / bessel_i(0, 2.0 * m)
-    mean = m * ratio
+    mean = float(_N @ tmcc_weights(m))
     second = m * m
     variance = second - mean * mean
     return MomentSummary(mean, second, variance, variance / mean - 1.0)

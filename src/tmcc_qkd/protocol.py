@@ -18,15 +18,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .photon_stats import IntensityParam, tmcc_distribution, tmcc_moments, tmcc_pn
+from .photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from .source import PulseBatch
 
 logger = logging.getLogger(__name__)
 
 
-class Verdict(enum.Enum):
+class ExchangeVerdict(enum.Enum):
+    """Outcome of a reconciliation; only the wire exchange can ABORT."""
+
     MATCH = "match"
     MISMATCH = "mismatch"
+    ABORT = "abort"
 
 
 class MismatchReason(enum.Enum):
@@ -35,7 +38,7 @@ class MismatchReason(enum.Enum):
 
 
 class ReconcileResult(NamedTuple):
-    verdict: Verdict
+    verdict: ExchangeVerdict
     detail: str = ""
     reason: Optional[MismatchReason] = None
 
@@ -131,13 +134,13 @@ def reconcile(local: KeyMaterial, remote_xor_code) -> ReconcileResult:
     local_code = local.xor_code
     if remote.size != local_code.size:
         return ReconcileResult(
-            Verdict.MISMATCH,
+            ExchangeVerdict.MISMATCH,
             f"length mismatch: local {local_code.size}, remote {remote.size}",
             MismatchReason.LENGTH,
         )
     if np.array_equal(local_code, remote):
-        return ReconcileResult(Verdict.MATCH)
-    return ReconcileResult(Verdict.MISMATCH, "xor codes differ", MismatchReason.XOR_CODE)
+        return ReconcileResult(ExchangeVerdict.MATCH)
+    return ReconcileResult(ExchangeVerdict.MISMATCH, "xor codes differ", MismatchReason.XOR_CODE)
 
 
 def error_probability(model: ErrorModel) -> ErrorReport:
@@ -148,8 +151,9 @@ def error_probability(model: ErrorModel) -> ErrorReport:
     photon away from flipping); p_err = epsilon * error_factor.
     """
     t = model.threshold
-    p0 = sum(tmcc_pn(model.lam, n) for n in range(t + 1))
-    error_factor = tmcc_pn(model.lam, t) / p0
+    probs = tmcc_distribution(model.lam).probs
+    p0 = float(probs[: t + 1].sum())
+    error_factor = float(probs[t]) / p0
     return ErrorReport(p0, error_factor, model.epsilon * error_factor)
 
 
@@ -162,4 +166,4 @@ def expected_disagreement_rate(model: ErrorModel) -> float:
     product eps * error_factor is its conditional-on-"0" approximation.
     """
     eps = model.epsilon
-    return 2.0 * eps * (1.0 - eps) * tmcc_pn(model.lam, model.threshold)
+    return 2.0 * eps * (1.0 - eps) * tmcc_distribution(model.lam).prob(model.threshold)

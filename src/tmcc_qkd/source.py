@@ -145,7 +145,7 @@ LOG_HEADER = "pulse_index,n_a,n_b,n_e,noise_a,noise_b"
 # a row is six counts >= 0 of at most 18 digits, which fit int64
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # up to the largest below the int64 maximum
 _LOG_BLOCK_ROWS = 4096  # rows formatted per write, bounding the memory of the text
-_LOG_READ_CHARS = 1 << 16  # text checked and parsed per step, in whole lines
+_LOG_READ_BYTES = 1 << 16  # text checked and parsed per step, in whole lines
 _ROW_SEPARATORS = b",,,,,\n"
 
 
@@ -231,25 +231,33 @@ def read_pulse_log(path) -> PulseBatch:
     not the header or a row of six counts >= 0, or naming the file if it is
     not ASCII text.
     """
-    try:
-        with open(path, newline="", encoding="ascii") as fh:
-            header = fh.readline().rstrip("\r\n")
-            body = fh.read().rstrip("\r\n")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not ASCII text: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not ASCII text: {exc}") from exc
+    # the header line ends at the first CR, LF or CRLF; trailing line ends go
+    eol = min(i for i in (data.find(b"\r"), data.find(b"\n"), len(data)) if i >= 0)
+    header = data[:eol].decode()
     if header != LOG_HEADER:
         raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {header!r}")
-    counts = np.empty((body.count("\n") + 1, 5), np.int64)
-    row = start = 0
-    while start <= len(body):
-        stop = body.find("\n", start + _LOG_READ_CHARS) + 1 or len(body) + 1
-        block = body[start:stop] if stop <= len(body) else body[start:] + "\n"
-        rows, bad = _read_rows(block.encode(), counts[row:])
+    start = min(eol + (2 if data.startswith(b"\r\n", eol) else 1), len(data))
+    stop = len(data)
+    while stop > start and data.endswith((b"\r", b"\n"), start, stop):
+        stop -= 1
+    counts = np.empty((data.count(b"\n", start, stop) + 1, 5), np.int64)
+    row = 0
+    while start <= stop:
+        end = data.find(b"\n", start + _LOG_READ_BYTES, stop) + 1 or stop + 1
+        block = data[start:end] if end <= stop else data[start:stop] + b"\n"
+        rows, bad = _read_rows(block, counts[row:])
         if bad is not None:
-            line = block.split("\n")[bad].rstrip("\r")
+            line = block.split(b"\n")[bad].rstrip(b"\r").decode()
             raise ValueError(
                 f"{path}, line {row + bad + 2}: expected 6 comma-separated counts >= 0, got {line!r}"
             )
-        row, start = row + rows, stop
+        row, start = row + rows, end
     n_a, n_b, n_e, noise_a, noise_b = counts.T
     return PulseBatch(n_a, n_b, n_e, noise_a.astype(bool), noise_b.astype(bool))

@@ -1,5 +1,6 @@
 """Reference implementations that the test suite checks the package against."""
 
+import math
 import re
 
 import numpy as np
@@ -9,12 +10,97 @@ from tmcc_qkd.attacks import SplitRatio
 from tmcc_qkd.photon_stats import TAIL_EPS, IntensityParam, PhotonDistribution, tmcc_distribution
 from tmcc_qkd.source import LOG_HEADER, PulseBatch
 
+# largest n for the series cutoff search, as in the package
+MAX_CUTOFF = 600
+
+
+def bessel_i(order: int, x: float) -> float:
+    """Modified Bessel function I_order(x), x >= 0, by its power series
+    sum_k (x/2)^(order+2k) / (k! (order+k)!) (Abramowitz & Stegun 9.6.10),
+    summed on the linear scale until a term no longer moves the total."""
+    if order < 0 or x < 0.0:
+        raise ValueError("order and argument must be >= 0")
+    if x == 0.0:
+        return 1.0 if order == 0 else 0.0
+    half = 0.5 * x
+    # first term, scaled through lgamma; it underflows cleanly to 0 for high orders
+    term = math.exp(order * math.log(half) - math.lgamma(order + 1))
+    total = term
+    k = 1
+    while term > total * 1e-17:
+        term *= half * half / (k * (order + k))
+        total += term
+        k += 1
+    return total
+
+
+def log_bessel_i(order: int, x: float) -> float:
+    """log I_order(x): the leading term (x/2)^order / order! in the log
+    domain times the series factor sum_k (x/2)^(2k) order! / (k! (order+k)!)."""
+    if order < 0 or x < 0.0:
+        raise ValueError("order and argument must be >= 0")
+    if x == 0.0:
+        return 0.0 if order == 0 else -math.inf
+    half = 0.5 * x
+    term = total = 1.0
+    k = 1
+    while term > total * 1e-17:
+        term *= half * half / (k * (order + k))
+        total += term
+        k += 1
+    return order * math.log(half) - math.lgamma(order + 1) + math.log(total)
+
+
+def tmcc_pn(m: float, n: int) -> float:
+    """TMCC P_n = m^(2n) / (n!^2 I_0(2m)), one term at a time."""
+    if n < 0:
+        raise ValueError("photon number must be >= 0")
+    if m == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(2 * n * math.log(m) - 2.0 * math.lgamma(n + 1) - log_bessel_i(0, 2.0 * m))
+
+
+def tmcc_distribution_series(m: float, tail_eps: float = TAIL_EPS) -> np.ndarray:
+    """P_0..P_cutoff from `tmcc_pn`, stopping at the first n where the term
+    ratio r = m^2/(n+1)^2 is below 1/2 and the tail bound P_n r/(1-r) below
+    tail_eps."""
+    if m == 0.0:
+        return np.array([1.0])
+    probs = []
+    for n in range(MAX_CUTOFF + 1):
+        probs.append(tmcc_pn(m, n))
+        r = m * m / ((n + 1) * (n + 1))
+        if r < 0.5 and probs[-1] * r / (1.0 - r) < tail_eps:
+            return np.array(probs)
+    raise ValueError(f"no truncation point found below index {MAX_CUTOFF}")
+
+
+def tmcc_mean(m: float) -> float:
+    """<N> = m I_1(2m) / I_0(2m)."""
+    if m == 0.0:
+        return 0.0
+    return m * math.exp(log_bessel_i(1, 2.0 * m) - log_bessel_i(0, 2.0 * m))
+
+
+def split_marginal_bessel(lam: IntensityParam, r: SplitRatio, size: int) -> np.ndarray:
+    """Bob's split marginal P_k, k < size, in closed form:
+    lambda^k p^(2k) I_k(2 q lambda) / (q^k k! I_0(2 lambda)), for 0 < p, q < 1."""
+    m = lam.magnitude
+    log_coef = math.log(m) + 2.0 * math.log(r.p) - math.log(r.q)
+    log_i0 = log_bessel_i(0, 2.0 * m)
+    return np.array(
+        [
+            math.exp(k * log_coef - math.lgamma(k + 1) + log_bessel_i(k, 2.0 * r.q * m) - log_i0)
+            for k in range(size)
+        ]
+    )
+
 
 def split_marginal_binomial(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
     """Brute-force oracle for Bob's split marginal.
 
-    Mixes Binomial(n, p^2) over the TMCC law for n directly; slower than the
-    closed form but an independent consequence of the amplitude split.
+    Mixes scipy's Binomial(n, p^2) pmf over the truncated TMCC law one n at a
+    time, so it drops the mass beyond the cutoff (below tail_eps).
     """
     base = tmcc_distribution(lam, tail_eps)
     size = base.probs.size

@@ -20,9 +20,9 @@ from tmcc_qkd.attacks import (
     split_marginal_bob,
     split_marginal_eve,
 )
-from tmcc_qkd.density_ops import DiagonalDensityMatrix, hs_distance_sq, weak_distance
+from tmcc_qkd.density_ops import hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
-from tmcc_qkd.protocol import ErrorModel, KeyMaterial, Verdict, error_probability, reconcile
+from tmcc_qkd.protocol import ErrorModel, ExchangeVerdict, KeyMaterial, error_probability, reconcile
 from tmcc_qkd.source import PulseSampler, SourceConfig, correlation_report
 
 from oracles import split_marginal_binomial
@@ -105,10 +105,10 @@ def test_criterion_7_beam_split_oracle():
 def test_criterion_8_distance_monotonicity():
     for lam in (1.0, 2.0, 4.0):
         lam_p = IntensityParam(lam)
-        original = DiagonalDensityMatrix(tmcc_distribution(lam_p))
+        original = tmcc_distribution(lam_p)
         distances = []
         for p_sq in np.linspace(1.0, 0.0, 20):
-            bob = DiagonalDensityMatrix(split_marginal_bob(lam_p, SplitRatio.from_p_squared(float(p_sq))))
+            bob = split_marginal_bob(lam_p, SplitRatio.from_p_squared(float(p_sq)))
             distances.append(hs_distance_sq(bob, original))
         assert distances[0] <= 1e-14  # p = 1: no split, zero distance
         assert all(b >= a - 1e-15 for a, b in zip(distances, distances[1:]))
@@ -117,7 +117,7 @@ def test_criterion_8_distance_monotonicity():
 
 def test_criterion_9_cloning_detectability():
     cloned = cloned_bob_matrix(LAM2, CloneStrategy.TMCC_CLONE)
-    original = DiagonalDensityMatrix(tmcc_distribution(LAM2))
+    original = tmcc_distribution(LAM2)
     assert hs_distance_sq(cloned, original) > 1e-4
     assert weak_distance(cloned, original) > 1e-4
     assert abs(cloned.mandel_q() - tmcc_moments(LAM2).mandel_q) > 1e-3
@@ -173,13 +173,13 @@ def test_criterion_11_reconciliation():
         a = KeyMaterial.from_bits(rng.integers(0, 2, length).tolist())
         b = KeyMaterial.from_bits(rng.integers(0, 2, length).tolist())
         verdict = reconcile(a, b.xor_code).verdict
-        assert (verdict is Verdict.MATCH) == np.array_equal(a.xor_code, b.xor_code)
+        assert (verdict is ExchangeVerdict.MATCH) == np.array_equal(a.xor_code, b.xor_code)
 
     # constructed blind spot: same-position flip in both halves
     key = KeyMaterial.from_bits([1, 0, 1, 1, 0, 1])
     blind = KeyMaterial.from_bits([0, 0, 1, 0, 0, 1])
     assert not np.array_equal(blind.bits, key.bits)
-    assert reconcile(blind, key.xor_code).verdict is Verdict.MATCH
+    assert reconcile(blind, key.xor_code).verdict is ExchangeVerdict.MATCH
 
     # two-process wire exchange over loopback (CLI subprocesses)
     import tempfile

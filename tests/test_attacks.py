@@ -14,7 +14,7 @@ from tmcc_qkd.attacks import (
     split_marginal_bob,
     split_marginal_eve,
 )
-from tmcc_qkd.density_ops import DiagonalDensityMatrix, hs_distance_sq, weak_distance
+from tmcc_qkd.density_ops import hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import (
     MAX_LAMBDA,
     IntensityParam,
@@ -24,7 +24,7 @@ from tmcc_qkd.photon_stats import (
 )
 from tmcc_qkd.source import SourceConfig
 
-from oracles import split_marginal_binomial
+from oracles import split_marginal_bessel, split_marginal_binomial
 
 LAM2 = IntensityParam(2.0)
 
@@ -79,6 +79,20 @@ class TestSplitMarginals:
         np.testing.assert_allclose(analytic.probs[:size], oracle.probs[:size], atol=1e-10)
         assert abs(float(analytic.probs.sum()) + analytic.tail_mass - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("p_sq", [0.1, 0.5, 0.9])
+    def test_matches_bessel_and_binomial_oracles_on_grid(self, p_sq):
+        r = SplitRatio.from_p_squared(p_sq)
+        for lam in [0.01, 0.3, 0.7, *np.linspace(0.0, MAX_LAMBDA, 26)[1:]]:
+            lam_p = IntensityParam(float(lam))
+            got = split_marginal_bob(lam_p, r)
+            assert got.probs.size == tmcc_distribution(lam_p).probs.size
+            bessel = split_marginal_bessel(lam_p, r, got.probs.size)
+            # below 1e-20 only the P_n < 1e-22 left out of the mixture shows
+            np.testing.assert_allclose(got.probs, bessel, rtol=1e-12, atol=1e-20, err_msg=f"lambda {lam}")
+            # the binomial oracle mixes over the truncated n only, which drops up to tail_eps
+            binomial = split_marginal_binomial(lam_p, r)
+            np.testing.assert_allclose(got.probs, binomial.probs, rtol=0.0, atol=1e-12, err_msg=f"lambda {lam}")
+
     def test_eve_is_bob_with_roles_swapped(self):
         r = SplitRatio.from_p_squared(0.3)
         eve = split_marginal_eve(LAM2, r)
@@ -95,10 +109,10 @@ class TestSplitMarginals:
     def test_distance_grows_as_p_drops(self):
         for lam in (1.0, 2.0, 4.0):
             lam_p = IntensityParam(lam)
-            original = DiagonalDensityMatrix(tmcc_distribution(lam_p))
+            original = tmcc_distribution(lam_p)
             distances = [
                 hs_distance_sq(
-                    DiagonalDensityMatrix(split_marginal_bob(lam_p, SplitRatio.from_p_squared(p_sq))),
+                    split_marginal_bob(lam_p, SplitRatio.from_p_squared(p_sq)),
                     original,
                 )
                 for p_sq in np.linspace(1.0, 0.0, 20)
@@ -184,16 +198,16 @@ class TestCloning:
     def test_single_photon_bank_preserves_statistics(self):
         cloned = cloned_bob_matrix(LAM2, CloneStrategy.SINGLE_PHOTON_BANK)
         original = tmcc_distribution(LAM2)
-        size = min(cloned.diag.probs.size, original.probs.size)
-        np.testing.assert_allclose(cloned.diag.probs[:size], original.probs[:size], atol=1e-12)
+        size = min(cloned.probs.size, original.probs.size)
+        np.testing.assert_allclose(cloned.probs[:size], original.probs[:size], atol=1e-12)
 
     def test_vacuum_clones_to_vacuum(self):
         cloned = cloned_bob_matrix(IntensityParam(0.0), CloneStrategy.TMCC_CLONE)
-        assert cloned.diag.probs[0] == 1.0
+        assert cloned.probs[0] == 1.0
 
     def test_tmcc_clone_against_frozen_oracle(self):
         cloned = cloned_bob_matrix(LAM2, CloneStrategy.TMCC_CLONE)
-        original = DiagonalDensityMatrix(tmcc_distribution(LAM2))
+        original = tmcc_distribution(LAM2)
         assert cloned.mandel_q() == pytest.approx(CLONE_Q_L2, abs=1e-7)
         assert hs_distance_sq(cloned, original) == pytest.approx(CLONE_HS_L2, abs=1e-7)
         assert weak_distance(cloned, original) == pytest.approx(CLONE_WEAK_L2, abs=1e-7)
@@ -201,7 +215,7 @@ class TestCloning:
     def test_clone_mean_preserved(self):
         for strategy in CloneStrategy:
             cloned = cloned_bob_matrix(LAM2, strategy)
-            assert cloned.diag.mean() == pytest.approx(tmcc_moments(LAM2).mean, abs=1e-8)
+            assert cloned.mean() == pytest.approx(tmcc_moments(LAM2).mean, abs=1e-8)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0, 4.0])
     def test_tmcc_clone_shifts_mandel_q(self, lam):
@@ -213,12 +227,12 @@ class TestCloning:
         sampler = ClonePulseSampler(SourceConfig(LAM2, seed=9), CloneStrategy.TMCC_CLONE)
         n_b = sampler.sample_batch(200_000).n_b
         cloned = cloned_bob_matrix(LAM2, CloneStrategy.TMCC_CLONE)
-        hist = np.bincount(n_b, minlength=cloned.diag.probs.size) / n_b.size
-        common = min(hist.size, cloned.diag.probs.size)
+        hist = np.bincount(n_b, minlength=cloned.probs.size) / n_b.size
+        common = min(hist.size, cloned.probs.size)
         tv = 0.5 * (
-            np.abs(hist[:common] - cloned.diag.probs[:common]).sum()
+            np.abs(hist[:common] - cloned.probs[:common]).sum()
             + hist[common:].sum()
-            + cloned.diag.probs[common:].sum()
+            + cloned.probs[common:].sum()
         )
         assert tv < 0.02
 

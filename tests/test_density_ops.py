@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tmcc_qkd.attacks import SplitRatio, split_marginal_bob
 from tmcc_qkd.density_ops import (
-    DiagonalDensityMatrix,
     distance_report,
     hs_distance_sq,
     tail_error_bound,
@@ -20,7 +19,7 @@ WEAK_VACUUM_VS_LAMBDA1 = 0.5613237201629512606
 
 
 def matrix(probs, tail=0.0):
-    return DiagonalDensityMatrix(PhotonDistribution(np.asarray(probs, dtype=float), tail_mass=tail))
+    return PhotonDistribution(np.asarray(probs, dtype=float), tail_mass=tail)
 
 
 def random_matrix(rnd, size):
@@ -28,7 +27,7 @@ def random_matrix(rnd, size):
     return matrix(raw / raw.sum())
 
 
-TMCC2 = DiagonalDensityMatrix(tmcc_distribution(IntensityParam(2.0)))
+TMCC2 = tmcc_distribution(IntensityParam(2.0))
 VACUUM = matrix([1.0])
 
 
@@ -37,13 +36,11 @@ class TestHsDistance:
         assert hs_distance_sq(TMCC2, TMCC2) == 0.0
 
     def test_same_lambda_two_constructions(self):
-        other = DiagonalDensityMatrix(tmcc_distribution(IntensityParam(2.0)))
+        other = tmcc_distribution(IntensityParam(2.0))
         assert hs_distance_sq(TMCC2, other) <= 1e-15
 
     def test_split_marginal_positive(self):
-        split = DiagonalDensityMatrix(
-            split_marginal_bob(IntensityParam(2.0), SplitRatio.from_p_squared(0.5))
-        )
+        split = split_marginal_bob(IntensityParam(2.0), SplitRatio.from_p_squared(0.5))
         assert hs_distance_sq(TMCC2, split) > 0.0
 
 
@@ -52,7 +49,7 @@ class TestWeakDistance:
         assert weak_distance(TMCC2, TMCC2) == 0.0
 
     def test_vacuum_vs_lambda1(self):
-        lam1 = DiagonalDensityMatrix(tmcc_distribution(IntensityParam(1.0)))
+        lam1 = tmcc_distribution(IntensityParam(1.0))
         assert weak_distance(VACUUM, lam1) == pytest.approx(WEAK_VACUUM_VS_LAMBDA1, rel=1e-12)
 
     def test_bounded_by_euclidean(self):

@@ -4,7 +4,6 @@ from scipy import stats
 
 from tmcc_qkd import detection
 from tmcc_qkd.attacks import ClonePulseSampler, CloneStrategy, SplitPulseSampler, SplitRatio
-from tmcc_qkd.density_ops import DiagonalDensityMatrix
 from tmcc_qkd.detection import (
     DetectionThresholds,
     DetectionVerdict,
@@ -33,10 +32,9 @@ def per_pulse_null(lam, pulses, trials, seed):
     """Oracle for `_null_statistics`: the per-pulse calibration loop, one
     inverse-CDF run of `pulses` draws per trial on sub-stream (10, t)."""
     analytic = tmcc_distribution(lam)
-    expected = DiagonalDensityMatrix(analytic)
     expected_q = tmcc_moments(lam).mandel_q
     runs = [
-        _run_statistics(InverseCdfSampler(analytic, derive_rng(seed, 10, t)).draw(pulses), expected, expected_q)[:4]
+        _run_statistics(InverseCdfSampler(analytic, derive_rng(seed, 10, t)).draw(pulses), analytic, expected_q)[:4]
         for t in range(trials)
     ]
     return np.array(runs).T
@@ -101,6 +99,31 @@ class TestCalibration:
         assert 5 <= (means < th.mean_low).sum() <= 20
         assert 5 <= (means > th.mean_high).sum() <= 20
 
+    def test_thresholds_equal_numpy_quantiles(self):
+        th = calibrate_thresholds(LAM2, pulses=5_000, trials=2_000, seed=9)
+        means, q_devs, hs_vals, weak_vals = _null_statistics(LAM2, 5_000, 2_000, 9)
+        per_stat = th.alpha / 4.0
+        want = [
+            np.quantile(means, per_stat / 2.0),
+            np.quantile(means, 1.0 - per_stat / 2.0),
+            np.quantile(q_devs, 1.0 - per_stat),
+            np.quantile(hs_vals, 1.0 - per_stat),
+            np.quantile(weak_vals, 1.0 - per_stat),
+        ]
+        got = [th.mean_low, th.mean_high, th.mandel_q_dev_max, th.hs_dist_sq_max, th.weak_dist_max]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 100, 10_000])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_sorted_quantile_is_numpy_linear_rule(self, size, tied):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            values = rng.integers(0, 4, size) * 0.1 if tied else rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+            ascending = np.sort(values)
+            for q in (0.0, 0.00125, 0.0025, 0.5, 0.9975, 0.99875, 1.0, *rng.random(5)):
+                got = detection._quantile(ascending, float(q))
+                assert np.float64(got).tobytes() == np.quantile(values, float(q)).tobytes(), (q, values)
+
 
 class TestNullStatistics:
     @pytest.mark.parametrize("lam, pulses", [(2.0, 1000), (0.05, 3), (8.0, 50)])
@@ -111,7 +134,7 @@ class TestNullStatistics:
         folded = np.diff(folded_cdf(analytic), prepend=0.0)
         hists = derive_rng(8, 10).multinomial(pulses, folded, size=200)
         null = _null_statistics(lam, pulses, 200, 8)
-        expected = DiagonalDensityMatrix(analytic)
+        expected = analytic
         for t, hist in enumerate(hists):
             counts = np.repeat(np.arange(folded.size), hist)
             run = _run_statistics(counts, expected, tmcc_moments(lam).mandel_q)[:4]

@@ -9,13 +9,14 @@ from tmcc_qkd.photon_stats import (
     MAX_LAMBDA,
     IntensityParam,
     PhotonStatsError,
-    bessel_i,
-    log_bessel_i,
     poisson_distribution,
     tmcc_distribution,
     tmcc_moments,
-    tmcc_pn,
+    tmcc_weights,
 )
+
+import oracles
+from oracles import bessel_i, log_bessel_i
 
 # frozen from a 40-digit mpmath power-series oracle
 I0_AT_2 = 2.2795853023360672674
@@ -64,56 +65,80 @@ class TestIntensityParam:
             IntensityParam(MAX_LAMBDA + 1)
 
 
+def exact_pn(lam: float, n: int) -> float:
+    """Independent oracle: TMCC P_n with the exact-rational I_0 series."""
+    return lam ** (2 * n) / (series_bessel_i(0, 2.0 * lam) * math.factorial(n) ** 2)
+
+
+# (0, MAX_LAMBDA]: a fine even grid plus values off it
+LAMBDA_GRID = sorted({*np.linspace(0.0, MAX_LAMBDA, 251)[1:].tolist(), 1e-3, 0.0123, 0.7071, math.pi, 31.41, 49.999})
+
+
 class TestBessel:
+    """The power-series oracle against exact rational sums, and the
+    normaliser of `tmcc_weights` against the oracle."""
+
     def test_at_zero(self):
         assert bessel_i(0, 0.0) == 1.0
         assert bessel_i(1, 0.0) == 0.0
         assert bessel_i(7, 0.0) == 0.0
+        np.testing.assert_array_equal(tmcc_weights(0.0)[:3], [1.0, 0.0, 0.0])
 
     def test_i0_at_2(self):
         assert bessel_i(0, 2.0) == pytest.approx(I0_AT_2, rel=1e-12)
+        assert 1.0 / tmcc_weights(1.0)[0] == pytest.approx(I0_AT_2, rel=1e-12)
 
     def test_negative_argument_raises(self):
-        with pytest.raises(PhotonStatsError):
+        with pytest.raises(ValueError):
             bessel_i(0, -1.0)
-        with pytest.raises(PhotonStatsError):
+        with pytest.raises(ValueError):
             bessel_i(-1, 1.0)
+        with pytest.raises(PhotonStatsError):
+            tmcc_weights(-1.0)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 30])
     @pytest.mark.parametrize("x", [0.1, 1.0, 4.0, 17.5, 60.0, 100.0])
     def test_against_series_oracle(self, order, x):
         assert bessel_i(order, x) == pytest.approx(series_bessel_i(order, x), rel=1e-12)
+        assert tmcc_weights(x / 2.0)[order] == pytest.approx(exact_pn(x / 2.0, order), rel=1e-12)
 
     @pytest.mark.parametrize("order,x", [(0, 1.0), (3, 8.0), (25, 60.0), (150, 40.0)])
     def test_log_form_consistent(self, order, x):
         assert math.exp(log_bessel_i(order, x)) == pytest.approx(bessel_i(order, x), rel=1e-12)
+        m = x / 2.0
+        log_pn = 2 * order * math.log(m) - 2.0 * math.lgamma(order + 1) - log_bessel_i(0, x)
+        assert math.log(tmcc_weights(m)[order]) == pytest.approx(log_pn, rel=1e-13, abs=1e-12)
 
     def test_log_form_below_underflow(self):
         # order high enough that the linear-scale value underflows
         assert bessel_i(400, 10.0) == 0.0
         assert log_bessel_i(400, 10.0) < -700
+        assert tmcc_weights(5.0)[400] == 0.0
 
 
 class TestTmccPn:
+    """Single terms of `tmcc_weights` against the oracles."""
+
     def test_vacuum(self):
-        lam0 = IntensityParam(0.0)
-        assert tmcc_pn(lam0, 0) == 1.0
-        assert tmcc_pn(lam0, 1) == 0.0
+        w = tmcc_weights(0.0)
+        assert w[0] == 1.0 and w[1] == 0.0 and w.sum() == 1.0
+        assert oracles.tmcc_pn(0.0, 0) == 1.0 and oracles.tmcc_pn(0.0, 1) == 0.0
 
     def test_ground_probability_at_1(self):
-        assert tmcc_pn(IntensityParam(1.0), 0) == pytest.approx(INV_I0_AT_2, rel=1e-12)
+        assert tmcc_weights(1.0)[0] == pytest.approx(INV_I0_AT_2, rel=1e-12)
 
     def test_log_domain_continuity(self):
-        # values straddling the log-domain switch must agree with direct series
-        lam = IntensityParam(4.0)
-        i0 = series_bessel_i(0, 8.0)
-        for n in (18, 19, 20, 21, 22, 40):
-            expected = 4.0 ** (2 * n) / (i0 * math.factorial(n) ** 2)
-            assert tmcc_pn(lam, n) == pytest.approx(expected, rel=1e-11)
+        # small and large n alike come from the one log-domain formula
+        w = tmcc_weights(4.0)
+        for n in (0, 1, 18, 19, 20, 21, 22, 40):
+            assert w[n] == pytest.approx(exact_pn(4.0, n), rel=1e-11)
+            assert w[n] == pytest.approx(oracles.tmcc_pn(4.0, n), rel=1e-12)
 
     def test_negative_n_raises(self):
         with pytest.raises(PhotonStatsError):
-            tmcc_pn(IntensityParam(1.0), -1)
+            tmcc_distribution(IntensityParam(1.0)).prob(-1)
+        with pytest.raises(ValueError):
+            oracles.tmcc_pn(1.0, -1)
 
 
 class TestTmccDistribution:
@@ -146,6 +171,13 @@ class TestTmccDistribution:
         with pytest.raises(PhotonStatsError):
             tmcc_distribution(IntensityParam(1.0), tail_eps=0.0)
 
+    def test_matches_series_oracle_on_grid(self):
+        for lam in LAMBDA_GRID:
+            got = tmcc_distribution(IntensityParam(lam)).probs
+            want = oracles.tmcc_distribution_series(lam)
+            assert got.size == want.size, lam
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"lambda {lam}")
+
     @given(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_normalization_property(self, lam):
@@ -165,6 +197,10 @@ class TestMoments:
 
     def test_mean_at_1(self):
         assert tmcc_moments(IntensityParam(1.0)).mean == pytest.approx(MEAN_AT_1, rel=1e-12)
+
+    def test_mean_matches_bessel_ratio_on_grid(self):
+        for lam in LAMBDA_GRID:
+            assert tmcc_moments(IntensityParam(lam)).mean == pytest.approx(oracles.tmcc_mean(lam), rel=1e-13), lam
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0, 8.0])
     def test_closed_form_matches_series_oracle(self, lam):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_moments
 from tmcc_qkd.protocol import (
     ErrorModel,
+    ExchangeVerdict,
     KeyMaterial,
     MismatchReason,
-    Verdict,
     error_probability,
     expected_disagreement_rate,
     extract_keys,
@@ -94,13 +94,13 @@ class TestExtractKeys:
 class TestReconcile:
     def test_identical_keys_match(self):
         key = KeyMaterial.from_bits([1, 0, 1, 1])
-        assert reconcile(key, key.xor_code).verdict is Verdict.MATCH
+        assert reconcile(key, key.xor_code).verdict is ExchangeVerdict.MATCH
 
     def test_single_flip_detected(self):
         key = KeyMaterial.from_bits([1, 0, 1, 1])
         flipped = KeyMaterial.from_bits([0, 0, 1, 1])
         result = reconcile(flipped, key.xor_code)
-        assert result.verdict is Verdict.MISMATCH
+        assert result.verdict is ExchangeVerdict.MISMATCH
         assert result.reason is MismatchReason.XOR_CODE
 
     def test_coincident_double_flip_blind_spot(self):
@@ -108,12 +108,12 @@ class TestReconcile:
         key = KeyMaterial.from_bits([1, 0, 1, 1])
         doubly_flipped = KeyMaterial.from_bits([0, 0, 0, 1])
         assert not np.array_equal(doubly_flipped.bits, key.bits)
-        assert reconcile(doubly_flipped, key.xor_code).verdict is Verdict.MATCH
+        assert reconcile(doubly_flipped, key.xor_code).verdict is ExchangeVerdict.MATCH
 
     def test_length_mismatch_detail(self):
         key = KeyMaterial.from_bits([1, 0, 1, 1])
         result = reconcile(key, (0, 1, 0))
-        assert result.verdict is Verdict.MISMATCH
+        assert result.verdict is ExchangeVerdict.MISMATCH
         assert result.reason is MismatchReason.LENGTH
         assert "length" in result.detail
 
@@ -121,7 +121,7 @@ class TestReconcile:
     @settings(max_examples=200)
     def test_involution(self, bits):
         key = KeyMaterial.from_bits(bits)
-        assert reconcile(key, key.xor_code).verdict is Verdict.MATCH
+        assert reconcile(key, key.xor_code).verdict is ExchangeVerdict.MATCH
 
 
 class TestErrorModel:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .photon_stats import (
     MAX_LAMBDA,
-    TAIL_EPS,
     IntensityParam,
     PhotonDistribution,
     PhotonStatsError,
@@ -31,7 +30,7 @@ from .photon_stats import (
     tmcc_distribution,
     tmcc_weights,
 )
-from .source import InverseCdfSampler, PulseSampler, SourceConfig, derive_rng
+from .source import PulseSampler, SourceConfig, derive_rng, folded_cdf
 
 # the split mixture runs over every n with P_n at or above this
 _MIX_FLOOR = 1e-22
@@ -70,7 +69,7 @@ class CloneStrategy(enum.Enum):
     TMCC_CLONE = "tmcc-clone"
 
 
-def split_marginal_bob(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
+def split_marginal_bob(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
     """Bob's photon-number marginal after an amplitude split (p toward Bob).
 
     The TMCC law mixed over Binomial(n, p^2), P @ B, with B built in the log
@@ -80,10 +79,10 @@ def split_marginal_bob(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAI
     """
     m = lam.magnitude
     if r.q == 0.0 or m == 0.0:
-        return tmcc_distribution(lam, tail_eps)
+        return tmcc_distribution(lam)
     if r.p == 0.0:
         return PhotonDistribution(np.array([1.0]))
-    k = np.arange(tmcc_distribution(lam, tail_eps).probs.size)
+    k = np.arange(tmcc_distribution(lam).probs.size)
     w = tmcc_weights(m)
     n = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)[:, None]
     j = n - k  # photons toward Eve
@@ -97,16 +96,16 @@ def split_marginal_bob(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAI
     return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
-def split_marginal_eve(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
+def split_marginal_eve(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
     """Eve's marginal: Bob's with the roles of p and q exchanged."""
-    return split_marginal_bob(lam, SplitRatio(r.q, r.p), tail_eps)
+    return split_marginal_bob(lam, SplitRatio(r.q, r.p))
 
 
 class SplitPulseSampler(PulseSampler):
     """Samples pulses through Eve's beam splitter: n_a = n, n_b + n_e = n."""
 
-    def __init__(self, cfg: SourceConfig, r: SplitRatio, tail_eps: float = TAIL_EPS):
-        super().__init__(cfg, tail_eps)
+    def __init__(self, cfg: SourceConfig, r: SplitRatio):
+        super().__init__(cfg)
         self.ratio = r
         self._split_rng = derive_rng(cfg.seed, 2)
 
@@ -161,27 +160,26 @@ def lambda_of_n(n: int) -> IntensityParam:
     return lambda_for_mean(float(n))
 
 
-def _clone_inner_law(n: int, strategy: CloneStrategy, tail_eps: float) -> PhotonDistribution:
+def _clone_inner_law(n: int, strategy: CloneStrategy) -> PhotonDistribution:
+    """Eve's re-emitted state for a measured photon number n."""
     if strategy is CloneStrategy.SINGLE_PHOTON_BANK:
         probs = np.zeros(n + 1)
         probs[n] = 1.0
         return PhotonDistribution(probs)
     if strategy is CloneStrategy.COHERENT:
-        return poisson_distribution(float(n), tail_eps)
-    return tmcc_distribution(lambda_of_n(n), tail_eps)
+        return poisson_distribution(float(n))
+    return tmcc_distribution(lambda_of_n(n))
 
 
-def cloned_bob_matrix(
-    lam: IntensityParam, strategy: CloneStrategy, tail_eps: float = TAIL_EPS
-) -> PhotonDistribution:
+def cloned_bob_matrix(lam: IntensityParam, strategy: CloneStrategy) -> PhotonDistribution:
     """Density matrix (its diagonal) Bob measures when Eve intercepts and re-emits clones.
 
     Mixture over Eve's measured n (TMCC-weighted) of the strategy's
     re-emission law with mean n; truncation remainders are folded back by
     renormalization.
     """
-    outer = tmcc_distribution(lam, tail_eps)
-    inners = [_clone_inner_law(n, strategy, tail_eps) for n in range(outer.probs.size)]
+    outer = tmcc_distribution(lam)
+    inners = [_clone_inner_law(n, strategy) for n in range(outer.probs.size)]
     size = max(d.probs.size for d in inners)
     probs = np.zeros(size)
     for w, inner in zip(outer.probs, inners):
@@ -194,23 +192,23 @@ class ClonePulseSampler(PulseSampler):
     """Samples pulses under a cloning attack: Alice keeps the true n, Bob
     receives a draw from Eve's re-emitted state, Eve knows n exactly."""
 
-    def __init__(self, cfg: SourceConfig, strategy: CloneStrategy, tail_eps: float = TAIL_EPS):
-        super().__init__(cfg, tail_eps)
+    def __init__(self, cfg: SourceConfig, strategy: CloneStrategy):
+        super().__init__(cfg)
         self.strategy = strategy
-        self._tail_eps = tail_eps
         self._clone_rng = derive_rng(cfg.seed, 3)
-        self._inner: dict[int, InverseCdfSampler] = {}
-
-    def _inner_sampler(self, n: int) -> InverseCdfSampler:
-        if n not in self._inner:
-            law = _clone_inner_law(n, self.strategy, self._tail_eps)
-            self._inner[n] = InverseCdfSampler(law, self._clone_rng)
-        return self._inner[n]
 
     def _attack(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # ascending distinct n sharing sub-stream 3: this order fixes the outputs for a seed
+        # one uniform per pulse from sub-stream 3, handed out in stable ascending
+        # order of n: this order fixes the outputs for a seed.  n never exceeds
+        # the grid's 600, and a uint16 key makes the stable sort a radix sort
+        u = self._clone_rng.random(n.size)
+        order = np.argsort(n.astype(np.uint16), kind="stable")
+        counts = np.bincount(n)  # np.unique would import numpy.ma
         k = np.empty_like(n)
-        for value in np.flatnonzero(np.bincount(n)):  # np.unique would import numpy.ma
-            mask = n == value
-            k[mask] = self._inner_sampler(int(value)).draw(int(mask.sum()))
+        lo = 0
+        for value in np.flatnonzero(counts):  # a law only for each drawn value
+            row = folded_cdf(_clone_inner_law(int(value), self.strategy))
+            hi = lo + counts[value]
+            k[order[lo:hi]] = np.searchsorted(row, u[lo:hi])
+            lo = hi
         return k, n

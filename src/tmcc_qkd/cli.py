@@ -37,6 +37,9 @@ CONFIG_ENV = "TMCC_QKD_CONFIG"
 # at their peaks a scenario holds about 35 bytes per pulse and `detect` about
 # 60, so 1e8 pulses need about 6 GB; larger counts are refused at parse time
 MAX_PULSES = 100_000_000
+# the largest n_b `detect` accepts from a pulse log: the count histogram has
+# one bin per value up to the largest count, so this bounds it at 8 MiB
+MAX_COUNT = 1 << 20
 # flag defaults applied after the config file is merged, so that the file can set them
 LATE_DEFAULTS = {"seed": 0, "calibration_trials": 10_000, "timeout_secs": channel.DEFAULT_TIMEOUT}
 
@@ -147,7 +150,10 @@ def _outdir(args, parser) -> Path:
     if args.out is None:
         parser.error("--out is required for this command")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out {args.out}: cannot create the directory: {exc}")
     return out
 
 
@@ -221,7 +227,7 @@ def cmd_figures(args, parser) -> int:
 def _run_scenario(args, parser, sampler, outdir: Path, lam: IntensityParam) -> int:
     batch = sampler.sample_batch(args.pulses)
     write_pulse_log(outdir / "pulses.csv", batch)
-    threshold = int(math.floor(tmcc_moments(lam).mean))
+    threshold = protocol.ErrorModel(lam, sampler.cfg.noise_epsilon).threshold
     alice, bob = protocol.extract_keys(batch, threshold)
     (outdir / "alice.key").write_text(alice.to_bitstring() + "\n")
     (outdir / "bob.key").write_text(bob.to_bitstring() + "\n")
@@ -261,11 +267,9 @@ def cmd_simulate(args, parser) -> int:
 def cmd_attack_split(args, parser) -> int:
     lam = _intensity(args, parser)
     if args.sweep:
-        out = Path(args.out) if args.out else None
-        if out is None:
-            parser.error("--out is required")
-        header, rows = _figure_rows(5, lam)
-        _write_csv(out if out.suffix else out / "split_sweep.csv", header, rows)
+        out = Path(args.out or "")  # a path with a suffix names the file, any other a directory
+        path = out if out.suffix else _outdir(args, parser) / "split_sweep.csv"
+        _write_csv(path, *_figure_rows(5, lam))
         return EXIT_OK
     if args.split_p2 is None:
         parser.error("--split-p2 is required without --sweep")
@@ -288,6 +292,10 @@ def cmd_detect(args, parser) -> int:
         counts = read_pulse_log(args.pulse_log).n_b
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read pulse log: {exc}")
+    too_big = counts > MAX_COUNT
+    if too_big.any():
+        row = int(np.argmax(too_big))  # the first; line 1 is the header
+        parser.error(f"{args.pulse_log}, line {row + 2}: n_b {counts[row]} exceeds the ceiling {MAX_COUNT}")
     return _report(args, lam, counts, args.out)
 
 

@@ -17,16 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .density_ops import hs_distance_sq, weak_distance
-from .photon_stats import (
-    TAIL_EPS,
-    IntensityParam,
-    PhotonDistribution,
-    tmcc_distribution,
-    tmcc_moments,
-)
+from .photon_stats import IntensityParam, PhotonDistribution, tmcc_distribution, tmcc_moments
 from .source import derive_rng, folded_cdf
 
 MIN_PULSES = 1000
+# union false-alarm budget of the four statistics
+ALPHA = 0.01
 # hard floor: a mean deficit this large at >= 1e4 pulses is never CLEAN
 _HARD_MEAN_RATIO = 0.75
 _HARD_MEAN_PULSES = 10_000
@@ -51,7 +47,7 @@ class DetectionThresholds:
     hs_dist_sq_max: float
     weak_dist_max: float
     min_pulses: int = MIN_PULSES
-    alpha: float = 0.01
+    alpha: float = ALPHA
     calibration_seed: int = 0
     calibration_trials: int = 0
     calibration_pulses: int = 0
@@ -105,7 +101,7 @@ def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -
     `seed`, taken in blocks of trials; consecutive blocks continue the same
     stream, so the block size does not change the result.
     """
-    analytic = tmcc_distribution(lam, TAIL_EPS)
+    analytic = tmcc_distribution(lam)
     expected_q = tmcc_moments(lam).mandel_q
     folded = np.diff(folded_cdf(analytic), prepend=0.0)
     n = np.arange(folded.size)
@@ -150,11 +146,7 @@ def _quantile(ascending: np.ndarray, q: float) -> float:
 
 
 def calibrate_thresholds(
-    lam: IntensityParam,
-    pulses: int,
-    trials: int = 10_000,
-    seed: int = 0,
-    alpha: float = 0.01,
+    lam: IntensityParam, pulses: int, trials: int = 10_000, seed: int = 0
 ) -> DetectionThresholds:
     """Set thresholds from the clean-run Monte Carlo null distribution.
 
@@ -164,15 +156,15 @@ def calibrate_thresholds(
     the run only through its histogram. So the trials are drawn as
     histograms, and the cost depends on the cutoff, not on `pulses`.
 
-    The false-alarm budget alpha is split Bonferroni-style: alpha/4 to each
+    The false-alarm budget ALPHA is split Bonferroni-style: ALPHA/4 to each
     of the two-sided mean check, the Mandel deviation, and the two
-    distances, so the union false-alarm rate stays at or below alpha.
+    distances, so the union false-alarm rate stays at or below ALPHA.
     """
     check_trials(trials)
     if pulses < 1:
         raise ValueError("need at least 1 calibration pulse")
     means, q_devs, hs_vals, weak_vals = np.sort(_null_statistics(lam, pulses, trials, seed), axis=1)
-    per_stat = alpha / 4.0
+    per_stat = ALPHA / 4.0
     return DetectionThresholds(
         mean_low=_quantile(means, per_stat / 2.0),
         mean_high=_quantile(means, 1.0 - per_stat / 2.0),
@@ -180,7 +172,6 @@ def calibrate_thresholds(
         hs_dist_sq_max=_quantile(hs_vals, 1.0 - per_stat),
         weak_dist_max=_quantile(weak_vals, 1.0 - per_stat),
         min_pulses=MIN_PULSES,
-        alpha=alpha,
         calibration_seed=seed,
         calibration_trials=trials,
         calibration_pulses=pulses,
@@ -194,7 +185,7 @@ def detect(
 ) -> DetectionReport:
     """Classify a stream of Bob-side counts against the declared source."""
     arr = np.asarray(counts, dtype=int)
-    expected = tmcc_distribution(expected_lambda, TAIL_EPS)
+    expected = tmcc_distribution(expected_lambda)
     moments = tmcc_moments(expected_lambda)
     mean, q_dev, hs_val, weak_val, emp = _run_statistics(arr, expected, moments.mandel_q)
     report_fields = dict(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_LAMBDA = 50.0
+# every truncated distribution drops less than this mass beyond its cutoff
 TAIL_EPS = 1e-12
 
 _MAX_CUTOFF = int(10 * MAX_LAMBDA + 100)
@@ -133,41 +134,37 @@ def tmcc_weights(m: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _cut(w: np.ndarray, ratio: np.ndarray, tail_eps: float) -> PhotonDistribution:
+def _cut(w: np.ndarray, ratio: np.ndarray) -> PhotonDistribution:
     """Truncate the grid weights `w` whose term ratios w_(n+1)/w_n are `ratio`.
 
     The cutoff is the first index where the ratio is below 1/2 (and falling)
-    and the geometric tail bound w_n r_n / (1 - r_n) is below `tail_eps`.
+    and the geometric tail bound w_n r_n / (1 - r_n) is below TAIL_EPS.
     """
     small = ratio < 0.5
     bound = w * ratio / np.where(small, 1.0 - ratio, 1.0)
-    hits = np.flatnonzero(small & (bound < tail_eps))
+    hits = np.flatnonzero(small & (bound < TAIL_EPS))
     if not hits.size:
         raise CutoffNotFoundError(f"no truncation point found below index {_MAX_CUTOFF}")
     probs = w[: hits[0] + 1]
     return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
-def tmcc_distribution(lam: IntensityParam, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
-    """Truncated TMCC counting distribution with tail mass below tail_eps."""
-    if not 0.0 < tail_eps <= 1e-6:
-        raise PhotonStatsError("tail_eps must be in (0, 1e-6]")
+def tmcc_distribution(lam: IntensityParam) -> PhotonDistribution:
+    """Truncated TMCC counting distribution with tail mass below TAIL_EPS."""
     m = lam.magnitude
     if m == 0.0:
         return PhotonDistribution(np.array([1.0]))
-    return _cut(tmcc_weights(m), m * m / (_N + 1.0) ** 2, tail_eps)
+    return _cut(tmcc_weights(m), m * m / (_N + 1.0) ** 2)
 
 
-def poisson_distribution(mean: float, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
+def poisson_distribution(mean: float) -> PhotonDistribution:
     """Truncated Poisson distribution; the coherent-beam reference."""
     if not math.isfinite(mean) or mean < 0.0:
         raise PhotonStatsError("mean must be finite and >= 0")
-    if not 0.0 < tail_eps <= 1e-6:
-        raise PhotonStatsError("tail_eps must be in (0, 1e-6]")
     if mean == 0.0:
         return PhotonDistribution(np.array([1.0]))
     w = np.exp(-mean + math.log(mean) * _N - _LOG_FACTORIAL)
-    return _cut(w, mean / (_N + 1.0), tail_eps)
+    return _cut(w, mean / (_N + 1.0))
 
 
 def tmcc_moments(lam: IntensityParam) -> MomentSummary:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .photon_stats import TAIL_EPS, IntensityParam, PhotonDistribution, tmcc_distribution
+from .photon_stats import IntensityParam, PhotonDistribution, tmcc_distribution
 
 
 @dataclass(frozen=True)
@@ -72,23 +72,6 @@ def folded_cdf(dist: PhotonDistribution) -> np.ndarray:
     return cdf
 
 
-class InverseCdfSampler:
-    """Inverse-CDF sampler over a truncated photon-number distribution.
-
-    The residual tail (< tail_eps) is folded into the last bin.  Not
-    thread-safe; create independent instances (with derived seeds) for
-    parallel streams.
-    """
-
-    def __init__(self, dist: PhotonDistribution, rng: np.random.Generator):
-        self._cdf = folded_cdf(dist)
-        self._rng = rng
-
-    def draw(self, size: int | None = None):
-        u = self._rng.random(size)
-        return np.searchsorted(self._cdf, u, side="left")
-
-
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Reproducible PCG64 stream; extra path integers split independent
     sub-streams off one master seed."""
@@ -98,14 +81,16 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 class PulseSampler:
     """Samples correlated TMCC pulses for one (lambda, epsilon, seed) setup.
 
-    Sub-stream 0 draws the shared photon number, sub-stream 1 the noise
-    flags; attack samplers override `_attack` only.
+    Sub-stream 0 draws the shared photon number by inverse CDF, with the
+    tail folded into the last bin; sub-stream 1 draws the noise flags.
+    Attack samplers override `_attack` only.  Not thread-safe.
     """
 
-    def __init__(self, cfg: SourceConfig, tail_eps: float = TAIL_EPS):
+    def __init__(self, cfg: SourceConfig):
         self.cfg = cfg
-        self.distribution = tmcc_distribution(cfg.lam, tail_eps)
-        self._sampler = InverseCdfSampler(self.distribution, derive_rng(cfg.seed, 0))
+        self.distribution = tmcc_distribution(cfg.lam)
+        self._cdf = folded_cdf(self.distribution)
+        self._rng = derive_rng(cfg.seed, 0)
         self._noise_rng = derive_rng(cfg.seed, 1)
 
     def _attack(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +100,7 @@ class PulseSampler:
     def sample_batch(self, count: int) -> PulseBatch:
         if count < 1:
             raise ValueError("count must be >= 1")
-        n = self._sampler.draw(count)
+        n = np.searchsorted(self._cdf, self._rng.random(count))
         k, n_e = self._attack(n)
         # at eps = 0 every flag is False, so the draws change no output
         noise_a = self._noise_rng.random(count) < self.cfg.noise_epsilon

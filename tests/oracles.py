@@ -6,9 +6,9 @@ import re
 import numpy as np
 from scipy.stats import binom
 
-from tmcc_qkd.attacks import SplitRatio
+from tmcc_qkd.attacks import ClonePulseSampler, SplitRatio, _clone_inner_law
 from tmcc_qkd.photon_stats import TAIL_EPS, IntensityParam, PhotonDistribution, tmcc_distribution
-from tmcc_qkd.source import LOG_HEADER, PulseBatch
+from tmcc_qkd.source import LOG_HEADER, PulseBatch, folded_cdf
 
 # largest n for the series cutoff search, as in the package
 MAX_CUTOFF = 600
@@ -96,13 +96,13 @@ def split_marginal_bessel(lam: IntensityParam, r: SplitRatio, size: int) -> np.n
     )
 
 
-def split_marginal_binomial(lam: IntensityParam, r: SplitRatio, tail_eps: float = TAIL_EPS) -> PhotonDistribution:
+def split_marginal_binomial(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
     """Brute-force oracle for Bob's split marginal.
 
     Mixes scipy's Binomial(n, p^2) pmf over the truncated TMCC law one n at a
-    time, so it drops the mass beyond the cutoff (below tail_eps).
+    time, so it drops the mass beyond the cutoff (below TAIL_EPS).
     """
-    base = tmcc_distribution(lam, tail_eps)
+    base = tmcc_distribution(lam)
     size = base.probs.size
     p_sq = r.p**2
     probs = np.zeros(size)
@@ -111,6 +111,32 @@ def split_marginal_binomial(lam: IntensityParam, r: SplitRatio, tail_eps: float 
         probs += base.probs[n] * binom.pmf(ks, n, p_sq)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return PhotonDistribution(probs, tail_mass=tail)
+
+
+class InverseCdfSampler:
+    """Inverse-CDF draws from a truncated photon-number law, the tail folded
+    into the last bin, on a stream that the caller owns."""
+
+    def __init__(self, dist: PhotonDistribution, rng: np.random.Generator):
+        self._cdf = folded_cdf(dist)
+        self._rng = rng
+
+    def draw(self, size: int) -> np.ndarray:
+        return np.searchsorted(self._cdf, self._rng.random(size), side="left")
+
+
+class PerValueClonePulseSampler(ClonePulseSampler):
+    """Oracle clone sampler: one `InverseCdfSampler` per distinct measured n,
+    all on sub-stream 3, drawn for the ascending values in turn and written
+    back through a mask."""
+
+    def _attack(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k = np.empty_like(n)
+        for value in np.flatnonzero(np.bincount(n)):
+            sampler = InverseCdfSampler(_clone_inner_law(int(value), self.strategy), self._clone_rng)
+            mask = n == value
+            k[mask] = sampler.draw(int(mask.sum()))
+        return k, n
 
 
 _LOG_ROW = ",".join(["%d"] * 6) + "\r\n"

@@ -24,7 +24,7 @@ from tmcc_qkd.photon_stats import (
 )
 from tmcc_qkd.source import SourceConfig
 
-from oracles import split_marginal_bessel, split_marginal_binomial
+from oracles import PerValueClonePulseSampler, split_marginal_bessel, split_marginal_binomial
 
 LAM2 = IntensityParam(2.0)
 
@@ -235,6 +235,38 @@ class TestCloning:
             + cloned.probs[common:].sum()
         )
         assert tv < 0.02
+
+    @pytest.mark.parametrize("strategy", list(CloneStrategy))
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 2.0, 8.0, 25.0])
+    def test_clone_sampler_matches_per_value_oracle(self, lam, strategy):
+        for seed in (0, 7, 2024):
+            for count in (1, 2, 3000):
+                cfg = SourceConfig(IntensityParam(lam), noise_epsilon=0.05, seed=seed)
+                got = ClonePulseSampler(cfg, strategy).sample_batch(count)
+                want = PerValueClonePulseSampler(cfg, strategy).sample_batch(count)
+                for name in ("n_a", "n_b", "n_e", "noise_a", "noise_b"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (lam, strategy, seed, count, name)
+
+    def test_clone_sampler_second_batch_matches_oracle(self):
+        cfg = SourceConfig(LAM2, seed=5)
+        got = ClonePulseSampler(cfg, CloneStrategy.TMCC_CLONE)
+        want = PerValueClonePulseSampler(cfg, CloneStrategy.TMCC_CLONE)
+        for count in (500, 700):
+            assert np.array_equal(got.sample_batch(count).n_b, want.sample_batch(count).n_b)
+
+    def test_tmcc_clone_sampler_raises_on_unreachable_mean(self):
+        sampler = ClonePulseSampler(SourceConfig(IntensityParam(45.0), seed=0), CloneStrategy.TMCC_CLONE)
+        with pytest.raises(PhotonStatsError, match="mean 50.0 not reachable"):
+            sampler.sample_batch(3000)
+
+    def test_tmcc_clone_sampler_builds_laws_for_drawn_counts_only(self):
+        # the source cutoff at lambda 32 is 64, past the reachable mean 49.75,
+        # but this batch draws no n above 49, so every law it needs exists
+        cfg = SourceConfig(IntensityParam(32.0), seed=0)
+        assert tmcc_distribution(cfg.lam).cutoff >= 50
+        batch = ClonePulseSampler(cfg, CloneStrategy.TMCC_CLONE).sample_batch(3000)
+        assert batch.n_a.max() < 50 and np.array_equal(batch.n_e, batch.n_a)
 
     def test_clone_sampler_alice_unaffected(self):
         sampler = ClonePulseSampler(SourceConfig(LAM2, seed=10), CloneStrategy.COHERENT)

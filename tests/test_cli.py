@@ -115,6 +115,29 @@ class TestScenarios:
         assert excinfo.value.code == 1
         assert f"{log}, line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [10**17, cli.MAX_COUNT + 1], ids=["1e17", "ceiling+1"])
+    def test_detect_refuses_count_above_ceiling(self, tmp_path, capsys, count):
+        log = tmp_path / "pulses.csv"
+        log.write_text(f"pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n1,1,{count},0,0,0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["detect", "--lambda", "2", "--pulse-log", str(log), "--calibration-trials", "100"])
+        assert excinfo.value.code == 1
+        assert f"{log}, line 3: n_b {count} exceeds the ceiling {cli.MAX_COUNT}" in capsys.readouterr().err
+
+    def test_sweep_creates_out_directory(self, tmp_path):
+        out = tmp_path / "nodir" / "sub"
+        assert run(["attack-split", "--lambda", "2", "--sweep", "--out", str(out)]) == 0
+        header, rows = read_csv(out / "split_sweep.csv")
+        assert header[0] == "p" and len(rows) == 21
+
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["figures", "--lambda", "2", "--out", str(out)])
+        assert excinfo.value.code == 1
+        assert f"--out {out}: cannot create the directory" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["simulate", "--out", "/tmp/x"])  # missing --lambda

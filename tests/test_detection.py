@@ -14,7 +14,9 @@ from tmcc_qkd.detection import (
     empirical_distribution,
 )
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
-from tmcc_qkd.source import InverseCdfSampler, PulseSampler, SourceConfig, derive_rng, folded_cdf
+from tmcc_qkd.source import PulseSampler, SourceConfig, derive_rng, folded_cdf
+
+from oracles import InverseCdfSampler
 
 LAM2 = IntensityParam(2.0)
 

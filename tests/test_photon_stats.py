@@ -165,12 +165,6 @@ class TestTmccDistribution:
         first_down = np.argmax(diffs < 0)
         assert np.all(diffs[first_down:] <= 0)
 
-    def test_tail_eps_validated(self):
-        with pytest.raises(PhotonStatsError):
-            tmcc_distribution(IntensityParam(1.0), tail_eps=1e-3)
-        with pytest.raises(PhotonStatsError):
-            tmcc_distribution(IntensityParam(1.0), tail_eps=0.0)
-
     def test_matches_series_oracle_on_grid(self):
         for lam in LAMBDA_GRID:
             got = tmcc_distribution(IntensityParam(lam)).probs

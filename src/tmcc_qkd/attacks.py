@@ -26,6 +26,8 @@ from .photon_stats import (
     PhotonStatsError,
     _LOG_FACTORIAL,
     _N,
+    _tmcc_distributions,
+    _tmcc_means,
     poisson_distribution,
     tmcc_distribution,
     tmcc_weights,
@@ -69,31 +71,42 @@ class CloneStrategy(enum.Enum):
     TMCC_CLONE = "tmcc-clone"
 
 
-def split_marginal_bob(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
-    """Bob's photon-number marginal after an amplitude split (p toward Bob).
+def _split_marginals(lam: IntensityParam, ratios: list[SplitRatio]) -> list[PhotonDistribution]:
+    """Bob's photon-number marginal after each amplitude split in `ratios`.
 
     The TMCC law mixed over Binomial(n, p^2), P @ B, with B built in the log
     domain; n runs until P_n is negligible, not just to the source cutoff,
-    and Bob's k to the source cutoff.  Limits p=1 (no split) and p=0 (vacuum
-    at Bob) are handled exactly.
+    and Bob's k to the source cutoff.  The weights, the (n, k) grid and
+    log C(n, k) are built once and shared by every split.  Limits p=1 (no
+    split) and p=0 (vacuum at Bob) are handled exactly.
     """
     m = lam.magnitude
-    if r.q == 0.0 or m == 0.0:
-        return tmcc_distribution(lam)
-    if r.p == 0.0:
-        return PhotonDistribution(np.array([1.0]))
-    k = np.arange(tmcc_distribution(lam).probs.size)
+    source = tmcc_distribution(lam)
+    vacuum = PhotonDistribution(np.array([1.0]))
     w = tmcc_weights(m)
+    k = np.arange(source.probs.size)
     n = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)[:, None]
     j = n - k  # photons toward Eve
-    log_b = np.where(
-        j >= 0,
-        _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[abs(j)]
-        + k * math.log(r.p**2) + j * math.log(r.q**2),
-        -np.inf,
-    )
-    probs = w[: n.size] @ np.exp(log_b)
-    return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
+    log_c = _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[abs(j)]
+    laws = []
+    for r in ratios:
+        if r.q == 0.0 or m == 0.0:
+            laws.append(source)
+        elif r.p == 0.0:
+            laws.append(vacuum)
+        else:
+            # log B = log C(n, k) + k log p^2 + j log q^2, summed in that order
+            log_b = log_c + k * math.log(r.p**2)
+            log_b += j * math.log(r.q**2)
+            log_b[j < 0] = -np.inf
+            probs = w[: n.size] @ np.exp(log_b, out=log_b)
+            laws.append(PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum()))))
+    return laws
+
+
+def split_marginal_bob(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
+    """Bob's photon-number marginal after an amplitude split (p toward Bob)."""
+    return _split_marginals(lam, [r])[0]
 
 
 def split_marginal_eve(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
@@ -114,42 +127,56 @@ class SplitPulseSampler(PulseSampler):
         return k, n - k
 
 
-def _mean_of_lambda(x: float) -> float:
-    return float(_N @ tmcc_weights(x))
+# <N>(MAX_LAMBDA), about 49.75: no target mean above it is reachable
+_MEAN_CEILING = _tmcc_means(np.array([MAX_LAMBDA]))[0]
 
 
-def lambda_for_mean(target: float) -> IntensityParam:
-    """Invert the mean photon number: the unique lambda with <N>(lambda) = target.
+def _lambdas_for_means(targets: np.ndarray) -> np.ndarray:
+    """Invert the mean photon number for each target of the 1-d `targets`: the
+    unique lambda with <N>(lambda) = target.
 
     Safeguarded Newton iteration on [0, MAX_LAMBDA] with the closed-form
     slope d<N>/dlambda = 2 Var(N) / lambda = 2 (lambda^2 - <N>^2) / lambda
     (since <N^2> = lambda^2); a step that leaves the bracket on the root is
-    replaced by bisection.
+    replaced by bisection.  The targets run in lockstep, each with its own
+    bracket and stop test, and leave the batch as they converge.  A bad
+    target raises for the first one in order.
     """
-    if not math.isfinite(target) or target < 0.0:
+    targets = np.asarray(targets, dtype=float)
+    bad = ~(np.isfinite(targets) & (targets >= 0.0))
+    over = targets > _MEAN_CEILING
+    first = np.flatnonzero(bad | over)[:1]
+    if bad[first].any():
         raise PhotonStatsError("target mean must be finite and >= 0")
-    if target == 0.0:
-        return IntensityParam(0.0)
-    if target > _mean_of_lambda(MAX_LAMBDA):
-        raise PhotonStatsError(f"mean {target} not reachable below lambda ceiling {MAX_LAMBDA}")
+    if first.size:
+        unreachable = float(targets[first[0]])
+        raise PhotonStatsError(f"mean {unreachable} not reachable below lambda ceiling {MAX_LAMBDA}")
     # <N> ~ lambda^2 for small lambda and lambda - 1/4 for large lambda
-    x = math.sqrt(target) if target < 1.0 else target + 0.25
-    lo, hi = 0.0, MAX_LAMBDA
+    x = np.where(targets < 1.0, np.sqrt(targets), targets + 0.25)
+    lo = np.zeros_like(x)
+    hi = np.full_like(x, MAX_LAMBDA)
+    live = np.flatnonzero(targets > 0.0)
     for _ in range(100):
-        mean = _mean_of_lambda(x)
-        if mean > target:
-            hi = x
-        else:
-            lo = x
-        new = x - (mean - target) * x / (2.0 * (x * x - mean * mean))
-        if not lo <= new <= hi:
-            new = 0.5 * (lo + hi)
-        # after a Newton step this small only the rounding of <N> is left
-        done = abs(new - x) <= 1e-10 * x
-        x = new
-        if done:
+        if not live.size:
             break
-    return IntensityParam(x)
+        xs, target = x[live], targets[live]
+        mean = _tmcc_means(xs)
+        above = mean > target
+        hi[live[above]] = xs[above]
+        lo[live[~above]] = xs[~above]
+        new = xs - (mean - target) * xs / (2.0 * (xs * xs - mean * mean))
+        low, high = lo[live], hi[live]
+        new = np.where((low <= new) & (new <= high), new, 0.5 * (low + high))
+        # after a Newton step this small only the rounding of <N> is left
+        done = np.abs(new - xs) <= 1e-10 * xs
+        x[live] = new
+        live = live[~done]
+    return x
+
+
+def lambda_for_mean(target: float) -> IntensityParam:
+    """Invert the mean photon number: the unique lambda with <N>(lambda) = target."""
+    return IntensityParam(float(_lambdas_for_means(np.array([target]))[0]))
 
 
 @lru_cache(maxsize=4096)
@@ -160,15 +187,18 @@ def lambda_of_n(n: int) -> IntensityParam:
     return lambda_for_mean(float(n))
 
 
+def _clone_inner_laws(values: np.ndarray, strategy: CloneStrategy) -> list[PhotonDistribution]:
+    """Eve's re-emitted state for each measured photon number of the 1-d `values`."""
+    if strategy is CloneStrategy.SINGLE_PHOTON_BANK:
+        return [PhotonDistribution(np.arange(n + 1) == n) for n in values]
+    if strategy is CloneStrategy.COHERENT:
+        return [poisson_distribution(float(n)) for n in values]
+    return _tmcc_distributions(_lambdas_for_means(values))
+
+
 def _clone_inner_law(n: int, strategy: CloneStrategy) -> PhotonDistribution:
     """Eve's re-emitted state for a measured photon number n."""
-    if strategy is CloneStrategy.SINGLE_PHOTON_BANK:
-        probs = np.zeros(n + 1)
-        probs[n] = 1.0
-        return PhotonDistribution(probs)
-    if strategy is CloneStrategy.COHERENT:
-        return poisson_distribution(float(n))
-    return tmcc_distribution(lambda_of_n(n))
+    return _clone_inner_laws(np.array([n]), strategy)[0]
 
 
 def cloned_bob_matrix(lam: IntensityParam, strategy: CloneStrategy) -> PhotonDistribution:
@@ -179,7 +209,7 @@ def cloned_bob_matrix(lam: IntensityParam, strategy: CloneStrategy) -> PhotonDis
     renormalization.
     """
     outer = tmcc_distribution(lam)
-    inners = [_clone_inner_law(n, strategy) for n in range(outer.probs.size)]
+    inners = _clone_inner_laws(np.arange(outer.probs.size), strategy)
     size = max(d.probs.size for d in inners)
     probs = np.zeros(size)
     for w, inner in zip(outer.probs, inners):
@@ -206,9 +236,9 @@ class ClonePulseSampler(PulseSampler):
         counts = np.bincount(n)  # np.unique would import numpy.ma
         k = np.empty_like(n)
         lo = 0
-        for value in np.flatnonzero(counts):  # a law only for each drawn value
-            row = folded_cdf(_clone_inner_law(int(value), self.strategy))
+        values = np.flatnonzero(counts)  # a law only for each drawn value
+        for value, law in zip(values, _clone_inner_laws(values, self.strategy)):
             hi = lo + counts[value]
-            k[order[lo:hi]] = np.searchsorted(row, u[lo:hi])
+            k[order[lo:hi]] = np.searchsorted(folded_cdf(law), u[lo:hi])
             lo = hi
         return k, n

@@ -21,6 +21,7 @@ from .density_ops import hs_distance_sq, weak_distance
 from .photon_stats import (
     IntensityParam,
     PhotonStatsError,
+    _tmcc_moment_arrays,
     poisson_distribution,
     tmcc_distribution,
     tmcc_moments,
@@ -146,55 +147,47 @@ def _intensity(args, parser, default: float | None = None) -> IntensityParam:
     return IntensityParam(default if args.lam is None else args.lam)
 
 
-def _outdir(args, parser) -> Path:
+def _out_path(args, parser, directory: bool = False) -> Path:
+    """--out, with the directory it needs made: --out itself if `directory`,
+    else the parent of the file it names.  A directory that cannot be made,
+    or a file path that names a directory, is a usage error naming --out."""
     if args.out is None:
         parser.error("--out is required for this command")
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"--out {args.out}: cannot create the directory: {exc}")
+    if not directory and out.is_dir():
+        parser.error(f"--out {args.out}: is a directory, expected a file")
     return out
 
 
 def _figure_rows(figure: int, lam: IntensityParam):
-    moments = tmcc_moments(lam)
     if figure == 1:
         tmcc = tmcc_distribution(lam)
-        pois = poisson_distribution(moments.mean)
+        pois = poisson_distribution(tmcc_moments(lam).mean)
         size = max(tmcc.probs.size, pois.probs.size)
         return (
             ["n", "p_tmcc", "p_poisson"],
             [(n, tmcc.prob(n), pois.prob(n)) for n in range(size)],
         )
     if figure == 2:
-        rows = []
-        for x in np.linspace(0.05, 10.0, 100):
-            m = tmcc_moments(IntensityParam(float(x)))
-            rows.append((m.mean, m.mandel_q))
-        return ["mean_n", "mandel_q"], rows
+        mean, _, mandel_q = _tmcc_moment_arrays(np.linspace(0.05, 10.0, 100))
+        return ["mean_n", "mandel_q"], list(zip(mean.tolist(), mandel_q.tolist()))
     if figure == 3:
-        rows = []
-        for mean in np.linspace(8.0 / 50.0, 8.0, 50):
-            lam_m = attacks.lambda_for_mean(float(mean))
-            m = tmcc_moments(lam_m)
-            rows.append((m.mean, m.variance, m.mean))  # Poisson variance = mean
-        return ["mean_n", "sigma2_tmcc", "sigma2_poisson"], rows
+        mean, variance, _ = _tmcc_moment_arrays(attacks._lambdas_for_means(np.linspace(8.0 / 50.0, 8.0, 50)))
+        rows = zip(mean.tolist(), variance.tolist(), mean.tolist())  # Poisson variance = mean
+        return ["mean_n", "sigma2_tmcc", "sigma2_poisson"], list(rows)
     if figure in (5, 6):
         original = tmcc_distribution(lam)
-        rows = []
-        for p_sq in np.linspace(1.0, 0.0, 21):
-            r = attacks.SplitRatio.from_p_squared(float(p_sq))
-            bob = attacks.split_marginal_bob(lam, r)
-            eve = attacks.split_marginal_eve(lam, r)
-            rows.append(
-                (
-                    r.p,
-                    hs_distance_sq(bob, original),
-                    hs_distance_sq(eve, original),
-                    weak_distance(bob, original),
-                )
-            )
+        ratios = [attacks.SplitRatio.from_p_squared(float(p_sq)) for p_sq in np.linspace(1.0, 0.0, 21)]
+        bobs = attacks._split_marginals(lam, ratios)
+        eves = attacks._split_marginals(lam, [attacks.SplitRatio(r.q, r.p) for r in ratios])
+        rows = [
+            (r.p, hs_distance_sq(bob, original), hs_distance_sq(eve, original), weak_distance(bob, original))
+            for r, bob, eve in zip(ratios, bobs, eves)
+        ]
         return _figure6(rows) if figure == 6 else (["p", "hs_dist_bob", "hs_dist_eve", "weak_dist"], rows)
     raise ValueError(f"unknown figure {figure}")
 
@@ -207,15 +200,13 @@ def _figure6(figure5_rows):
 def cmd_stats(args, parser) -> int:
     figure = args.figure if args.figure is not None else 1
     lam = _intensity(args, parser, default=2.0)
-    if args.out is None:
-        parser.error("--out is required for stats")
-    header, rows = _figure_rows(figure, lam)
-    _write_csv(Path(args.out), header, rows)
+    out = _out_path(args, parser)
+    _write_csv(out, *_figure_rows(figure, lam))
     return EXIT_OK
 
 
 def cmd_figures(args, parser) -> int:
-    out = _outdir(args, parser)
+    out = _out_path(args, parser, directory=True)
     lam = _intensity(args, parser, default=2.0)
     for figure in (1, 2, 3, 5):
         header, rows = _figure_rows(figure, lam)
@@ -234,7 +225,7 @@ def _run_scenario(args, parser, sampler, outdir: Path, lam: IntensityParam) -> i
     return _report(args, lam, batch.n_b, outdir / "report.txt")
 
 
-def _report(args, lam: IntensityParam, counts: np.ndarray, out) -> int:
+def _report(args, lam: IntensityParam, counts: np.ndarray, out: Path | None) -> int:
     """Detection report on Bob's counts, to stdout and to `out` if given.
 
     Calibration uses at least MIN_PULSES pulses: below that the verdict is
@@ -245,8 +236,8 @@ def _report(args, lam: IntensityParam, counts: np.ndarray, out) -> int:
         trials=args.calibration_trials, seed=args.seed + 1,
     )
     text = detection.detect(counts, lam, thresholds).to_text()
-    if out:
-        Path(out).write_text(text)
+    if out is not None:
+        out.write_text(text)
     print(text, end="")
     return EXIT_OK
 
@@ -256,7 +247,7 @@ def _scenario_args(args, parser):
     if args.pulses is None:
         parser.error("--pulses is required for this command")
     cfg = SourceConfig(lam, noise_epsilon=args.epsilon or 0.0, seed=args.seed)
-    return lam, cfg, _outdir(args, parser)
+    return lam, cfg, _out_path(args, parser, directory=True)
 
 
 def cmd_simulate(args, parser) -> int:
@@ -267,8 +258,10 @@ def cmd_simulate(args, parser) -> int:
 def cmd_attack_split(args, parser) -> int:
     lam = _intensity(args, parser)
     if args.sweep:
-        out = Path(args.out or "")  # a path with a suffix names the file, any other a directory
-        path = out if out.suffix else _outdir(args, parser) / "split_sweep.csv"
+        if Path(args.out or "").suffix:  # a path with a suffix names the file, any other a directory
+            path = _out_path(args, parser)
+        else:
+            path = _out_path(args, parser, directory=True) / "split_sweep.csv"
         _write_csv(path, *_figure_rows(5, lam))
         return EXIT_OK
     if args.split_p2 is None:
@@ -296,7 +289,7 @@ def cmd_detect(args, parser) -> int:
     if too_big.any():
         row = int(np.argmax(too_big))  # the first; line 1 is the header
         parser.error(f"{args.pulse_log}, line {row + 2}: n_b {counts[row]} exceeds the ceiling {MAX_COUNT}")
-    return _report(args, lam, counts, args.out)
+    return _report(args, lam, counts, None if args.out is None else _out_path(args, parser))
 
 
 def _load_key(path: str, parser) -> protocol.KeyMaterial:

@@ -119,19 +119,35 @@ class MomentSummary:
     degenerate: bool = False
 
 
-def tmcc_weights(m: float) -> np.ndarray:
+def tmcc_weights(m) -> np.ndarray:
     """P_n proportional to m^(2n) / n!^2 over the whole grid n = 0.._MAX_CUTOFF.
 
-    Formed and normalised in the log domain, so no term overflows; the
-    normaliser is the grid's sum, I_0(2m) up to terms that underflow.
+    `m` is a magnitude or an array of them; the result has one row of grid
+    weights per magnitude (shape np.shape(m) + (_MAX_CUTOFF + 1,)).  Each row
+    is formed and normalised in the log domain, so no term overflows; its
+    normaliser is the row's sum, I_0(2m) up to terms that underflow.
     """
-    if not math.isfinite(m) or m < 0.0:
-        raise PhotonStatsError(f"intensity magnitude must be finite and >= 0, got {m}")
-    if m == 0.0:
-        return (_N == 0).astype(float)
-    log_w = 2.0 * math.log(m) * _N - 2.0 * _LOG_FACTORIAL
-    w = np.exp(log_w - log_w.max())
-    return w / w.sum()
+    m = np.asarray(m, dtype=float)
+    for x in m.flat:
+        if not (math.isfinite(x) and x >= 0.0):
+            raise PhotonStatsError(f"intensity magnitude must be finite and >= 0, got {x}")
+    # math.log per magnitude: np.log may differ from it in the last bit
+    log_m = np.array([math.log(x) if x > 0.0 else 0.0 for x in m.flat]).reshape(m.shape)
+    log_w = np.multiply.outer(2.0 * log_m, _N)
+    log_w -= 2.0 * _LOG_FACTORIAL
+    log_w -= log_w.max(axis=-1, keepdims=True)
+    w = np.exp(log_w, out=log_w)
+    w /= w.sum(axis=-1, keepdims=True)
+    zero = m == 0.0
+    if zero.any():
+        w[zero] = _N == 0
+    return w
+
+
+def _tmcc_means(m: np.ndarray) -> np.ndarray:
+    """<N> = sum_n n P_n for each magnitude of the 1-d `m`: one dot product
+    per row, so each mean is summed exactly as for a single magnitude."""
+    return np.array([_N @ row for row in tmcc_weights(m)])
 
 
 def _cut(w: np.ndarray, ratio: np.ndarray) -> PhotonDistribution:
@@ -149,12 +165,14 @@ def _cut(w: np.ndarray, ratio: np.ndarray) -> PhotonDistribution:
     return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
+def _tmcc_distributions(m: np.ndarray) -> list[PhotonDistribution]:
+    """Truncated TMCC laws, one per magnitude of the 1-d `m`."""
+    return [_cut(w, x * x / (_N + 1.0) ** 2) for x, w in zip(m, tmcc_weights(m))]
+
+
 def tmcc_distribution(lam: IntensityParam) -> PhotonDistribution:
     """Truncated TMCC counting distribution with tail mass below TAIL_EPS."""
-    m = lam.magnitude
-    if m == 0.0:
-        return PhotonDistribution(np.array([1.0]))
-    return _cut(tmcc_weights(m), m * m / (_N + 1.0) ** 2)
+    return _tmcc_distributions(np.array([lam.magnitude]))[0]
 
 
 def poisson_distribution(mean: float) -> PhotonDistribution:
@@ -167,16 +185,21 @@ def poisson_distribution(mean: float) -> PhotonDistribution:
     return _cut(w, mean / (_N + 1.0))
 
 
-def tmcc_moments(lam: IntensityParam) -> MomentSummary:
-    """Mean, second moment, variance and Mandel Q of a TMCC beam.
+def _tmcc_moment_arrays(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, variance and Mandel Q for each magnitude > 0 of the 1-d `m`.
 
     The mean is sum_n n P_n over the whole grid, which is
     |lambda| I_1(2|lambda|) / I_0(2|lambda|); <N^2> = |lambda|^2 exactly.
     """
+    mean = _tmcc_means(m)
+    variance = m * m - mean * mean
+    return mean, variance, variance / mean - 1.0
+
+
+def tmcc_moments(lam: IntensityParam) -> MomentSummary:
+    """Mean, second moment, variance and Mandel Q of a TMCC beam."""
     m = lam.magnitude
     if m == 0.0:
         return MomentSummary(0.0, 0.0, 0.0, 0.0, degenerate=True)
-    mean = float(_N @ tmcc_weights(m))
-    second = m * m
-    variance = second - mean * mean
-    return MomentSummary(mean, second, variance, variance / mean - 1.0)
+    mean, variance, q = (float(a[0]) for a in _tmcc_moment_arrays(np.array([m])))
+    return MomentSummary(mean, m * m, variance, q)

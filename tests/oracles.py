@@ -6,8 +6,17 @@ import re
 import numpy as np
 from scipy.stats import binom
 
-from tmcc_qkd.attacks import ClonePulseSampler, SplitRatio, _clone_inner_law
-from tmcc_qkd.photon_stats import TAIL_EPS, IntensityParam, PhotonDistribution, tmcc_distribution
+from tmcc_qkd.attacks import _MIX_FLOOR, ClonePulseSampler, SplitRatio, _clone_inner_law
+from tmcc_qkd.photon_stats import (
+    _LOG_FACTORIAL,
+    _N,
+    MAX_LAMBDA,
+    TAIL_EPS,
+    IntensityParam,
+    PhotonDistribution,
+    PhotonStatsError,
+    tmcc_distribution,
+)
 from tmcc_qkd.source import LOG_HEADER, PulseBatch, folded_cdf
 
 # largest n for the series cutoff search, as in the package
@@ -111,6 +120,70 @@ def split_marginal_binomial(lam: IntensityParam, r: SplitRatio) -> PhotonDistrib
         probs += base.probs[n] * binom.pmf(ks, n, p_sq)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return PhotonDistribution(probs, tail_mass=tail)
+
+
+def tmcc_weights_row(m: float) -> np.ndarray:
+    """TMCC grid weights for one magnitude: m^(2n) / n!^2 over n = 0..600,
+    normalised in the log domain."""
+    if m == 0.0:
+        return (_N == 0).astype(float)
+    log_w = 2.0 * math.log(m) * _N - 2.0 * _LOG_FACTORIAL
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
+def _mean_of_lambda(x: float) -> float:
+    return float(_N @ tmcc_weights_row(x))
+
+
+def lambda_for_mean_newton(target: float) -> float:
+    """The per-target safeguarded Newton inversion of <N>(lambda) = target:
+    slope 2 (lambda^2 - <N>^2) / lambda, bisection when a step leaves the
+    bracket, stop when a step moves lambda by at most 1e-10 relative."""
+    if not math.isfinite(target) or target < 0.0:
+        raise PhotonStatsError("target mean must be finite and >= 0")
+    if target == 0.0:
+        return 0.0
+    if target > _mean_of_lambda(MAX_LAMBDA):
+        raise PhotonStatsError(f"mean {target} not reachable below lambda ceiling {MAX_LAMBDA}")
+    x = math.sqrt(target) if target < 1.0 else target + 0.25
+    lo, hi = 0.0, MAX_LAMBDA
+    for _ in range(100):
+        mean = _mean_of_lambda(x)
+        if mean > target:
+            hi = x
+        else:
+            lo = x
+        new = x - (mean - target) * x / (2.0 * (x * x - mean * mean))
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - x) <= 1e-10 * x
+        x = new
+        if done:
+            break
+    return x
+
+
+def split_marginal_mixture(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
+    """Bob's split marginal for one ratio: the binomial mixture P @ B on a
+    grid of its own, n while P_n >= 1e-22 and k to the source cutoff."""
+    m = lam.magnitude
+    if r.q == 0.0 or m == 0.0:
+        return tmcc_distribution(lam)
+    if r.p == 0.0:
+        return PhotonDistribution(np.array([1.0]))
+    k = np.arange(tmcc_distribution(lam).probs.size)
+    w = tmcc_weights_row(m)
+    n = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)[:, None]
+    j = n - k
+    log_b = np.where(
+        j >= 0,
+        _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[abs(j)]
+        + k * math.log(r.p**2) + j * math.log(r.q**2),
+        -np.inf,
+    )
+    probs = w[: n.size] @ np.exp(log_b)
+    return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
 class InverseCdfSampler:

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmcc_qkd.attacks import (
     ClonePulseSampler,
     CloneStrategy,
     SplitPulseSampler,
     SplitRatio,
+    _clone_inner_laws,
+    _lambdas_for_means,
+    _split_marginals,
     cloned_bob_matrix,
     lambda_for_mean,
     lambda_of_n,
@@ -24,9 +29,18 @@ from tmcc_qkd.photon_stats import (
 )
 from tmcc_qkd.source import SourceConfig
 
-from oracles import PerValueClonePulseSampler, split_marginal_bessel, split_marginal_binomial
+from oracles import (
+    PerValueClonePulseSampler,
+    lambda_for_mean_newton,
+    split_marginal_bessel,
+    split_marginal_binomial,
+    split_marginal_mixture,
+)
 
 LAM2 = IntensityParam(2.0)
+BENCH_LAMBDAS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0)
+# figure 5's split ratios, p^2 = 1 down to 0
+FIGURE5_RATIOS = [SplitRatio.from_p_squared(float(p_sq)) for p_sq in np.linspace(1.0, 0.0, 21)]
 
 # frozen from the 40-digit mpmath double-sum oracle (lambda = 2, TMCC clone)
 CLONE_Q_L2 = 0.170433956684
@@ -192,6 +206,72 @@ class TestLambdaInversion:
     def test_bad_target_raises(self, target):
         with pytest.raises(PhotonStatsError):
             lambda_for_mean(target)
+
+
+class TestBatchedInversion:
+    """The lockstep Newton iteration against the per-target oracle, bit for bit."""
+
+    TARGETS = [0.0, 1e-6, *np.linspace(8.0 / 50.0, 8.0, 50), *range(50)]
+
+    def test_targets_equal_per_target_newton(self):
+        got = _lambdas_for_means(np.array(self.TARGETS, dtype=float))
+        want = [lambda_for_mean_newton(float(t)) for t in self.TARGETS]
+        assert got.tolist() == want
+        assert [lambda_for_mean(float(t)).magnitude for t in self.TARGETS] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 49.74), min_size=1, max_size=12), st.integers(0, 4))
+    @example([7.5], 0)
+    @example([0.0, 0.0], 2)
+    def test_random_batches_equal_per_target_newton(self, targets, repeats):
+        targets = targets + targets[:repeats]  # duplicated lanes
+        got = _lambdas_for_means(np.array(targets))
+        assert got.tolist() == [lambda_for_mean_newton(t) for t in targets]
+
+    def test_unreachable_target_raises_as_per_target(self):
+        with pytest.raises(PhotonStatsError) as per_target:
+            lambda_for_mean_newton(49.75)
+        with pytest.raises(PhotonStatsError) as batched:
+            _lambdas_for_means(np.array([1.0, 49.75]))
+        assert str(batched.value) == str(per_target.value) == "mean 49.75 not reachable below lambda ceiling 50.0"
+
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ([1.0, 60.0, 50.0, -1.0], "mean 60.0 not reachable"),
+            ([1.0, math.nan, 60.0], "target mean must be finite"),
+            ([2.0, 55.0, math.inf], "mean 55.0 not reachable"),
+        ],
+    )
+    def test_first_bad_target_names_the_error(self, targets, message):
+        with pytest.raises(PhotonStatsError, match=message):
+            _lambdas_for_means(np.array(targets))
+
+    def test_clone_inner_laws_equal_per_target_inversion(self):
+        values = np.arange(50)
+        for n, law in zip(values, _clone_inner_laws(values, CloneStrategy.TMCC_CLONE)):
+            want = tmcc_distribution(IntensityParam(lambda_for_mean_newton(float(n))))
+            np.testing.assert_array_equal(law.probs, want.probs)
+
+    def test_clone_matrix_names_first_unreachable_n(self):
+        with pytest.raises(PhotonStatsError, match=r"^mean 50\.0 not reachable below lambda ceiling 50\.0$"):
+            cloned_bob_matrix(IntensityParam(32.0), CloneStrategy.TMCC_CLONE)
+
+
+class TestBatchedSplit:
+    @pytest.mark.parametrize("lam", BENCH_LAMBDAS)
+    def test_figure5_ratios_equal_per_ratio_mixture(self, lam):
+        lam = IntensityParam(lam)
+        swapped = [SplitRatio(r.q, r.p) for r in FIGURE5_RATIOS]
+        for ratios in (FIGURE5_RATIOS, swapped):
+            for r, got in zip(ratios, _split_marginals(lam, ratios)):
+                want = split_marginal_mixture(lam, r)
+                np.testing.assert_array_equal(got.probs, want.probs)
+                assert got.tail_mass == want.tail_mass
+
+    def test_vacuum_source_gives_vacuum_for_every_ratio(self):
+        for law in _split_marginals(IntensityParam(0.0), FIGURE5_RATIOS):
+            np.testing.assert_array_equal(law.probs, [1.0])
 
 
 class TestCloning:

@@ -130,6 +130,38 @@ class TestScenarios:
         header, rows = read_csv(out / "split_sweep.csv")
         assert header[0] == "p" and len(rows) == 21
 
+    @staticmethod
+    def _file_out_argv(tmp_path, command):
+        if command == "detect":
+            log = tmp_path / "pulses.csv"
+            log.write_text("pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n1,2,2,0,0,0\n")
+            return ["detect", "--lambda", "2", "--pulse-log", str(log), "--calibration-trials", "100"]
+        if command == "stats":
+            return ["stats", "--lambda", "2"]
+        return ["attack-split", "--lambda", "2", "--sweep"]
+
+    @pytest.mark.parametrize("command", ["stats", "sweep", "detect"])
+    def test_file_out_creates_its_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "nodir" / "sub" / "x.csv"
+        assert run(self._file_out_argv(tmp_path, command) + ["--out", str(out)]) == 0
+        assert out.read_text()
+
+    @pytest.mark.parametrize("command", ["stats", "sweep", "detect"])
+    def test_file_out_under_a_file_is_usage_error(self, tmp_path, capsys, command):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run(self._file_out_argv(tmp_path, command) + ["--out", str(out)])
+        assert excinfo.value.code == 1
+        assert f"--out {out}: cannot create the directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "detect"])
+    def test_file_out_naming_a_directory_is_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run(self._file_out_argv(tmp_path, command) + ["--out", str(tmp_path)])
+        assert excinfo.value.code == 1
+        assert f"--out {tmp_path}: is a directory, expected a file" in capsys.readouterr().err
+
     def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")

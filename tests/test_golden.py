@@ -11,7 +11,10 @@ import hashlib
 import socket
 import threading
 
-from tmcc_qkd import channel, cli
+import pytest
+
+from tmcc_qkd import attacks, channel, cli
+from tmcc_qkd.photon_stats import IntensityParam, PhotonStatsError
 
 COMMON = ["--lambda", "2", "--epsilon", "0.05", "--pulses", "3000", "--seed", "2718"]
 SCENARIOS = {
@@ -112,3 +115,77 @@ def golden_digests(tmp_path) -> dict:
 
 def test_fixed_seed_outputs_match_saved_digests(tmp_path, capsys):
     assert golden_digests(tmp_path) == GOLDEN
+
+
+# figure CSVs, split sweeps, clone matrices and the clone-ceiling error text,
+# recorded before the analytic sweeps were batched over their grids
+ANALYTIC_GOLDEN = {
+    "figures@0.5/figure1.csv": "e430448cfc4b12f30fe036497cc4ac3c71e369f1a6832d7b2f955eda2356a163",
+    "figures@0.5/figure2.csv": "c90553561453b09f53a621369721e53bb6477c15787e9b715bfa3b6f897ea988",
+    "figures@0.5/figure3.csv": "6482bb5f02f8716f809b191a89a247225df87a138d79092e6043fe7af2075c1c",
+    "figures@0.5/figure5.csv": "0472e335533a0369edb5d27432375acecf6cd1185437d2912ca01c23694a9a01",
+    "figures@0.5/figure6.csv": "4dd82dfd08a13236849acba452d4f33ceff6e2ed8b121b0ef76a0e516a15de45",
+    "figures@2/figure1.csv": "0bac662399a9beb428e80161e68c9c9e4c32b921f6303a54299eaa27bf2ff494",
+    "figures@2/figure2.csv": "c90553561453b09f53a621369721e53bb6477c15787e9b715bfa3b6f897ea988",
+    "figures@2/figure3.csv": "6482bb5f02f8716f809b191a89a247225df87a138d79092e6043fe7af2075c1c",
+    "figures@2/figure5.csv": "4666b42452aab34d7e0fa88b66f90e02e60f426a980e61012995182cb312955f",
+    "figures@2/figure6.csv": "d1d767d6c64405d1e66986a2b38720946c74aa956328fccb4ffaf48f73432549",
+    "figures@16/figure1.csv": "05066bfbc385d9cd6bad3c8fe4656472a7281c3ec25e97b24246b20c10dc17ca",
+    "figures@16/figure2.csv": "c90553561453b09f53a621369721e53bb6477c15787e9b715bfa3b6f897ea988",
+    "figures@16/figure3.csv": "6482bb5f02f8716f809b191a89a247225df87a138d79092e6043fe7af2075c1c",
+    "figures@16/figure5.csv": "42cb1bd3cafe72befd0de747c0f3e6292060fcd7cd213122e61cd077d6b9f7df",
+    "figures@16/figure6.csv": "53d19dbbfdb6d8d06b50ad7ba8a974f37244a2c203f6fc95dff9a67d1e55797a",
+    "figures@50/figure1.csv": "beb62b449973f2225d0bafb2d16d5e2f634f507d40b8ee280114f5d75a8dd177",
+    "figures@50/figure2.csv": "c90553561453b09f53a621369721e53bb6477c15787e9b715bfa3b6f897ea988",
+    "figures@50/figure3.csv": "6482bb5f02f8716f809b191a89a247225df87a138d79092e6043fe7af2075c1c",
+    "figures@50/figure5.csv": "3f4cc75636d0c4cab45debe92ea49d7400b5876fb62b7db1fcc10a2959e724cb",
+    "figures@50/figure6.csv": "271017a9898c9e4fe2ef480a108af765540cb47e9d7e7ff4933d16664461c37f",
+    "sweep@2": "4666b42452aab34d7e0fa88b66f90e02e60f426a980e61012995182cb312955f",
+    "sweep@50": "3f4cc75636d0c4cab45debe92ea49d7400b5876fb62b7db1fcc10a2959e724cb",
+    "stats/figure2.csv": "c90553561453b09f53a621369721e53bb6477c15787e9b715bfa3b6f897ea988",
+    "stats/figure3.csv": "6482bb5f02f8716f809b191a89a247225df87a138d79092e6043fe7af2075c1c",
+    "clone@0.5/single-photon-bank": "df71319f9159ff2ee50a9a830016af285514d1c9572fa35b5f9508a237e745ff",
+    "clone@0.5/coherent": "5b8f4c3814135195277513f2e521c5cb370811ba22faf9cee883d5944718e290",
+    "clone@0.5/tmcc-clone": "85a50d9f20d8af3bad6db58416b1d43834fb748da08d112045a5145a84d8c02d",
+    "clone@2/single-photon-bank": "2e20063ef91f3e3ed63174125e3f7fefda7a6c29f1947989efee7b037232b347",
+    "clone@2/coherent": "bada16bfd9ae05200f674b1d201f6dfd4f753a4feea1990319ef73b953d43e4b",
+    "clone@2/tmcc-clone": "584f61e50fdd2bb7d842fab2ae9456c827cda69a10300dd423a584ea8e6c6d5f",
+    "clone@8/single-photon-bank": "bff9c92150cd9823ad35f2d95f0ffbe6c99d4c9b9c7c64d7e818ea57e78915d6",
+    "clone@8/coherent": "5dfa4b61ada138fea03189ad62ce68e2add4b5fdab981d49da9b9d6a8c0afd23",
+    "clone@8/tmcc-clone": "67d8c50bb48feed226a7d6fe5077bc0bffa94146ccc2d2638ef20733276153e6",
+    "clone@16/single-photon-bank": "dec3713856b179c820b6780cc21f46db532cd6253fe1ba375470b2398d44b565",
+    "clone@16/coherent": "b534621d1f9759708cf89b6fce3b791c659c7b303a103f755cf677f3f311c6c6",
+    "clone@16/tmcc-clone": "52e6690af59d007ed466627da3b48fd081b195b1aa246ea21e6773c02cf3aaf9",
+    "clone@32/tmcc-clone-error": "e426b448f75146eb1acde6867e631f61db1958c4e836baa4523836e3f78cd54c",
+    "clone@50/tmcc-clone-error": "e426b448f75146eb1acde6867e631f61db1958c4e836baa4523836e3f78cd54c",
+}
+
+
+def analytic_digests(tmp_path) -> dict:
+    digests = {}
+    for lam in ("0.5", "2", "16", "50"):
+        out = tmp_path / f"figures-{lam}"
+        assert cli.main(["figures", "--lambda", lam, "--out", str(out)]) == 0
+        for figure in (1, 2, 3, 5, 6):
+            digests[f"figures@{lam}/figure{figure}.csv"] = _sha((out / f"figure{figure}.csv").read_bytes())
+    for lam in ("2", "50"):
+        out = tmp_path / f"sweep-{lam}.csv"
+        assert cli.main(["attack-split", "--lambda", lam, "--sweep", "--out", str(out)]) == 0
+        digests[f"sweep@{lam}"] = _sha(out.read_bytes())
+    for figure in ("2", "3"):
+        out = tmp_path / f"stats-{figure}.csv"
+        assert cli.main(["stats", "--figure", figure, "--out", str(out)]) == 0
+        digests[f"stats/figure{figure}.csv"] = _sha(out.read_bytes())
+    for lam in (0.5, 2.0, 8.0, 16.0):
+        for strategy in attacks.CloneStrategy:
+            probs = attacks.cloned_bob_matrix(IntensityParam(lam), strategy).probs
+            digests[f"clone@{lam:g}/{strategy.value}"] = _sha(",".join(f"{p:.12g}" for p in probs).encode())
+    for lam in (32.0, 50.0):
+        with pytest.raises(PhotonStatsError) as info:
+            attacks.cloned_bob_matrix(IntensityParam(lam), attacks.CloneStrategy.TMCC_CLONE)
+        digests[f"clone@{lam:g}/tmcc-clone-error"] = _sha(str(info.value).encode())
+    return digests
+
+
+def test_analytic_outputs_match_saved_digests(tmp_path):
+    assert analytic_digests(tmp_path) == ANALYTIC_GOLDEN

@@ -9,6 +9,8 @@ from tmcc_qkd.photon_stats import (
     MAX_LAMBDA,
     IntensityParam,
     PhotonStatsError,
+    _tmcc_distributions,
+    _tmcc_moment_arrays,
     poisson_distribution,
     tmcc_distribution,
     tmcc_moments,
@@ -219,6 +221,54 @@ class TestMoments:
     def test_sub_poisson_everywhere(self):
         for lam in np.linspace(0.1, 10.0, 100):
             assert tmcc_moments(IntensityParam(float(lam))).mandel_q < 0.0
+
+
+# magnitudes 0, tiny, figure 2's 100 points, the benchmark grid, a repeat, and
+# three whose np.log and math.log differ in the last bit on some numpy builds
+BATCH_MAGNITUDES = np.concatenate(
+    [
+        [0.0, 1e-150, 1e-6],
+        np.linspace(0.05, 10.0, 100),
+        [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0, 2.0],
+        [0.9855621093722899, 16.621469573452845, 30.665646621975622],
+    ]
+)
+
+
+class TestBatchedKernels:
+    """The array forms against one magnitude at a time, bit for bit."""
+
+    def test_weight_rows_equal_single_magnitude_calls(self):
+        rows = tmcc_weights(BATCH_MAGNITUDES)
+        assert rows.shape == (BATCH_MAGNITUDES.size, 601)
+        for m, row in zip(BATCH_MAGNITUDES, rows):
+            np.testing.assert_array_equal(row, tmcc_weights(float(m)))
+            np.testing.assert_array_equal(row, oracles.tmcc_weights_row(float(m)))
+
+    def test_weight_shape_follows_the_argument(self):
+        assert tmcc_weights(2.0).shape == (601,)
+        grid = np.array([[0.5, 2.0], [8.0, 0.0]])
+        rows = tmcc_weights(grid)
+        assert rows.shape == (2, 2, 601)
+        np.testing.assert_array_equal(rows[1, 0], tmcc_weights(8.0))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_magnitude_in_batch_raises(self, bad):
+        with pytest.raises(PhotonStatsError, match=f"got {bad}"):
+            tmcc_weights(np.array([1.0, bad, 2.0]))
+
+    def test_distributions_equal_single_magnitude_calls(self):
+        for m, dist in zip(BATCH_MAGNITUDES, _tmcc_distributions(BATCH_MAGNITUDES)):
+            single = tmcc_distribution(IntensityParam(float(m)))
+            np.testing.assert_array_equal(dist.probs, single.probs)
+            assert dist.tail_mass == single.tail_mass
+
+    def test_moment_arrays_equal_tmcc_moments(self):
+        positive = BATCH_MAGNITUDES[BATCH_MAGNITUDES > 0.0]
+        for m, mean, variance, q in zip(positive, *_tmcc_moment_arrays(positive)):
+            single = tmcc_moments(IntensityParam(float(m)))
+            assert (mean, variance, q) == (single.mean, single.variance, single.mandel_q)
+            assert single.mean == float(np.arange(601) @ oracles.tmcc_weights_row(float(m)))
 
 
 class TestPoisson:

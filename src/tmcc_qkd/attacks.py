@@ -26,13 +26,15 @@ from .photon_stats import (
     PhotonStatsError,
     _LOG_FACTORIAL,
     _N,
-    _tmcc_distributions,
+    _law,
+    _law_table,
+    _poisson_rows,
     _tmcc_means,
-    poisson_distribution,
+    _tmcc_rows,
     tmcc_distribution,
     tmcc_weights,
 )
-from .source import PulseSampler, SourceConfig, derive_rng, folded_cdf
+from .source import PulseSampler, SourceConfig, derive_rng
 
 # the split mixture runs over every n with P_n at or above this
 _MIX_FLOOR = 1e-22
@@ -187,33 +189,31 @@ def lambda_of_n(n: int) -> IntensityParam:
     return lambda_for_mean(float(n))
 
 
-def _clone_inner_laws(values: np.ndarray, strategy: CloneStrategy) -> list[PhotonDistribution]:
-    """Eve's re-emitted state for each measured photon number of the 1-d `values`."""
+def _clone_inner_laws(values: np.ndarray, strategy: CloneStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's re-emitted law for each measured photon number of the 1-d `values`:
+    one table row each, zeroed past the row's cutoff, and the cutoffs."""
     if strategy is CloneStrategy.SINGLE_PHOTON_BANK:
-        return [PhotonDistribution(np.arange(n + 1) == n) for n in values]
+        return (np.arange(values.max() + 1) == values[:, None]).astype(float), values
     if strategy is CloneStrategy.COHERENT:
-        return [poisson_distribution(float(n)) for n in values]
-    return _tmcc_distributions(_lambdas_for_means(values))
+        return _law_table(*_poisson_rows(values.astype(float)))
+    return _law_table(*_tmcc_rows(_lambdas_for_means(values)))
 
 
 def _clone_inner_law(n: int, strategy: CloneStrategy) -> PhotonDistribution:
     """Eve's re-emitted state for a measured photon number n."""
-    return _clone_inner_laws(np.array([n]), strategy)[0]
+    return _law(*_clone_inner_laws(np.array([n]), strategy))
 
 
 def cloned_bob_matrix(lam: IntensityParam, strategy: CloneStrategy) -> PhotonDistribution:
     """Density matrix (its diagonal) Bob measures when Eve intercepts and re-emits clones.
 
     Mixture over Eve's measured n (TMCC-weighted) of the strategy's
-    re-emission law with mean n; truncation remainders are folded back by
-    renormalization.
+    re-emission law with mean n, one table row per n summed in order of n;
+    truncation remainders are folded back by renormalization.
     """
     outer = tmcc_distribution(lam)
-    inners = _clone_inner_laws(np.arange(outer.probs.size), strategy)
-    size = max(d.probs.size for d in inners)
-    probs = np.zeros(size)
-    for w, inner in zip(outer.probs, inners):
-        probs[: inner.probs.size] += w * inner.probs
+    table, _ = _clone_inner_laws(np.arange(outer.probs.size), strategy)
+    probs = (outer.probs[:, None] * table).sum(axis=0)
     probs /= probs.sum()
     return PhotonDistribution(probs)
 
@@ -237,8 +237,11 @@ class ClonePulseSampler(PulseSampler):
         k = np.empty_like(n)
         lo = 0
         values = np.flatnonzero(counts)  # a law only for each drawn value
-        for value, law in zip(values, _clone_inner_laws(values, self.strategy)):
+        table, cutoffs = _clone_inner_laws(values, self.strategy)
+        cdfs = np.cumsum(table, axis=1)
+        cdfs[np.arange(cdfs.shape[1]) >= cutoffs[:, None]] = 1.0  # the tail folded into the last bin
+        for value, cdf in zip(values, cdfs):
             hi = lo + counts[value]
-            k[order[lo:hi]] = np.searchsorted(folded_cdf(law), u[lo:hi])
+            k[order[lo:hi]] = np.searchsorted(cdf, u[lo:hi])
             lo = hi
         return k, n

@@ -8,6 +8,7 @@ Exit codes: 0 success/MATCH, 1 usage error, 2 reconciliation MISMATCH,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -348,7 +349,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing keeps no state on it,
+    and the config merge writes only to the parsed namespace."""
     parser = _Parser(prog="tmcc-qkd", description=__doc__)
     parser.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)

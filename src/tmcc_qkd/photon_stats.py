@@ -69,15 +69,18 @@ class PhotonDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise PhotonStatsError("probs must be a nonempty 1-d array")
-        if np.any(probs < 0.0) or self.tail_mass < 0.0:
-            raise PhotonStatsError("probabilities must be nonnegative")
-        total = float(probs.sum()) + self.tail_mass
-        if abs(total - 1.0) > 1e-9:
+        tail = float(self.tail_mass)
+        # NaN fails every comparison (and is the min of any array holding
+        # one), so `not >=` and `not <=` refuse it
+        if not (probs.min() >= 0.0 and tail >= 0.0):
+            raise PhotonStatsError("probabilities must be finite and nonnegative")
+        total = float(probs.sum()) + tail
+        if not abs(total - 1.0) <= 1e-9:
             raise PhotonStatsError(f"distribution not normalized: sum+tail = {total}")
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "tail_mass", float(self.tail_mass))
+        object.__setattr__(self, "tail_mass", tail)
 
     @property
     def cutoff(self) -> int:
@@ -128,12 +131,13 @@ def tmcc_weights(m) -> np.ndarray:
     normaliser is the row's sum, I_0(2m) up to terms that underflow.
     """
     m = np.asarray(m, dtype=float)
-    for x in m.flat:
+    log_m = []
+    for x in m.ravel().tolist():
         if not (math.isfinite(x) and x >= 0.0):
             raise PhotonStatsError(f"intensity magnitude must be finite and >= 0, got {x}")
-    # math.log per magnitude: np.log may differ from it in the last bit
-    log_m = np.array([math.log(x) if x > 0.0 else 0.0 for x in m.flat]).reshape(m.shape)
-    log_w = np.multiply.outer(2.0 * log_m, _N)
+        # math.log per magnitude: np.log may differ from it in the last bit
+        log_m.append(math.log(x) if x > 0.0 else 0.0)
+    log_w = np.multiply.outer(2.0 * np.reshape(log_m, m.shape), _N)
     log_w -= 2.0 * _LOG_FACTORIAL
     log_w -= log_w.max(axis=-1, keepdims=True)
     w = np.exp(log_w, out=log_w)
@@ -150,39 +154,98 @@ def _tmcc_means(m: np.ndarray) -> np.ndarray:
     return np.array([_N @ row for row in tmcc_weights(m)])
 
 
-def _cut(w: np.ndarray, ratio: np.ndarray) -> PhotonDistribution:
-    """Truncate the grid weights `w` whose term ratios w_(n+1)/w_n are `ratio`.
+# term-ratio denominators (n + 1)^power over the grid, for Poisson (1) and TMCC (2) rows
+_RATIO_DENOMS = {1: _N + 1.0, 2: (_N + 1.0) ** 2}
+# past the first n whose term ratio is below 1/2, each weight (at most 1) at
+# least halves per step, and so does the tail bound: the first hit comes
+# within this many steps, as 2^-45 is far below TAIL_EPS
+_HALVINGS = 45
 
-    The cutoff is the first index where the ratio is below 1/2 (and falling)
-    and the geometric tail bound w_n r_n / (1 - r_n) is below TAIL_EPS.
+
+def _cutoffs(weights, scale: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid weights of a stack of rows, as wide as the search ran, and
+    each row's cutoff.
+
+    Row i has the grid weights weights(width)[i] over n < width and the term
+    ratios w_(n+1)/w_n = scale_i / (n + 1)^power.  Its cutoff is the first n
+    where the ratio is below 1/2 (and falling) and the geometric tail bound
+    w_n r_n / (1 - r_n) is below TAIL_EPS.  The weights are first taken only
+    as wide as the bound above provably needs (one step of slack for the
+    rounding of the ratio), and over the whole grid should a row still lack
+    its cutoff there.
     """
-    small = ratio < 0.5
-    bound = w * ratio / np.where(small, 1.0 - ratio, 1.0)
-    hits = np.flatnonzero(small & (bound < TAIL_EPS))
-    if not hits.size:
-        raise CutoffNotFoundError(f"no truncation point found below index {_MAX_CUTOFF}")
-    probs = w[: hits[0] + 1]
+    denom = _RATIO_DENOMS[power]
+    start = int(denom.searchsorted(2.0 * max(scale.tolist()), side="right"))  # ratios fall with n
+    for width in (min(start + _HALVINGS + 2, _MAX_CUTOFF + 1), _MAX_CUTOFF + 1):
+        w = weights(width)
+        ratio = scale[:, None] / denom[:width]
+        small = ratio < 0.5
+        bound = w * ratio
+        # divided by 1 - r where the ratio is small; elsewhere no n is a hit
+        bound /= np.subtract(1.0, ratio, out=ratio, where=small)
+        hit = small & (bound < TAIL_EPS)
+        if hit.any(axis=1).all():
+            return w, hit.argmax(axis=1)
+    raise CutoffNotFoundError(f"no truncation point found below index {_MAX_CUTOFF}")
+
+
+def _law_table(weights, scale: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated laws of a stack of rows (see `_cutoffs`), and their cutoffs.
+
+    Each row is zeroed past its cutoff, and the table is as wide as the
+    largest cutoff needs.
+    """
+    w, cutoffs = _cutoffs(weights, scale, power)
+    size = cutoffs.max() + 1
+    table = np.where(_N[:size] <= cutoffs[:, None], w[:, :size], 0.0)
+    # PhotonDistribution's rule, each row's tail mass being what the row misses
+    if not (table.min() >= 0.0 and table.sum(axis=1).max() <= 1.0 + 1e-9):
+        raise PhotonStatsError("table rows must be finite, nonnegative and sum to at most 1")
+    return table, cutoffs
+
+
+def _law(w: np.ndarray, cutoffs: np.ndarray) -> PhotonDistribution:
+    """The law of the first row of `w`: its weights up to its cutoff, the rest as tail."""
+    probs = w[0, : cutoffs[0] + 1]
     return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
-def _tmcc_distributions(m: np.ndarray) -> list[PhotonDistribution]:
-    """Truncated TMCC laws, one per magnitude of the 1-d `m`."""
-    return [_cut(w, x * x / (_N + 1.0) ** 2) for x, w in zip(m, tmcc_weights(m))]
+def _tmcc_rows(m: np.ndarray):
+    """TMCC rows for `_cutoffs`, one per magnitude of the 1-d `m`; each row is
+    normalised over the whole grid by `tmcc_weights`."""
+    w = tmcc_weights(m)
+    return (lambda width: w[:, :width]), m * m, 2
 
 
 def tmcc_distribution(lam: IntensityParam) -> PhotonDistribution:
     """Truncated TMCC counting distribution with tail mass below TAIL_EPS."""
-    return _tmcc_distributions(np.array([lam.magnitude]))[0]
+    return _law(*_cutoffs(*_tmcc_rows(np.array([lam.magnitude]))))
+
+
+def _poisson_rows(means: np.ndarray):
+    """Poisson rows for `_cutoffs`, one per mean of the 1-d `means`."""
+    log_mean = []
+    for x in means.tolist():
+        if not (math.isfinite(x) and x >= 0.0):
+            raise PhotonStatsError("mean must be finite and >= 0")
+        # math.log per mean: np.log may differ from it in the last bit
+        log_mean.append(math.log(x) if x > 0.0 else 0.0)
+
+    def weights(width: int) -> np.ndarray:
+        # log P_n = n log(mean) - mean - log n!, rounded as -mean + n log(mean) - log n!
+        w = np.multiply.outer(log_mean, _N[:width])
+        w -= means[:, None]
+        w -= _LOG_FACTORIAL[:width]
+        np.exp(w, out=w)
+        w[means == 0.0] = _N[:width] == 0
+        return w
+
+    return weights, means, 1
 
 
 def poisson_distribution(mean: float) -> PhotonDistribution:
     """Truncated Poisson distribution; the coherent-beam reference."""
-    if not math.isfinite(mean) or mean < 0.0:
-        raise PhotonStatsError("mean must be finite and >= 0")
-    if mean == 0.0:
-        return PhotonDistribution(np.array([1.0]))
-    w = np.exp(-mean + math.log(mean) * _N - _LOG_FACTORIAL)
-    return _cut(w, mean / (_N + 1.0))
+    return _law(*_cutoffs(*_poisson_rows(np.array([mean], dtype=float))))
 
 
 def _tmcc_moment_arrays(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

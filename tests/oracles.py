@@ -6,7 +6,14 @@ import re
 import numpy as np
 from scipy.stats import binom
 
-from tmcc_qkd.attacks import _MIX_FLOOR, ClonePulseSampler, SplitRatio, _clone_inner_law
+from tmcc_qkd.attacks import (
+    _MIX_FLOOR,
+    ClonePulseSampler,
+    CloneStrategy,
+    SplitRatio,
+    _clone_inner_law,
+    _lambdas_for_means,
+)
 from tmcc_qkd.photon_stats import (
     _LOG_FACTORIAL,
     _N,
@@ -16,6 +23,7 @@ from tmcc_qkd.photon_stats import (
     PhotonDistribution,
     PhotonStatsError,
     tmcc_distribution,
+    tmcc_weights,
 )
 from tmcc_qkd.source import LOG_HEADER, PulseBatch, folded_cdf
 
@@ -184,6 +192,52 @@ def split_marginal_mixture(lam: IntensityParam, r: SplitRatio) -> PhotonDistribu
     )
     probs = w[: n.size] @ np.exp(log_b)
     return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
+
+
+def cut_law(w: np.ndarray, ratio: np.ndarray) -> PhotonDistribution:
+    """One law truncated from its grid weights `w` and term ratios `ratio`
+    over the whole grid: the cutoff is the first n where the ratio is below
+    1/2 and the tail bound w_n r_n / (1 - r_n) below TAIL_EPS."""
+    small = ratio < 0.5
+    bound = w * ratio / np.where(small, 1.0 - ratio, 1.0)
+    hits = np.flatnonzero(small & (bound < TAIL_EPS))
+    if not hits.size:
+        raise PhotonStatsError(f"no truncation point found below index {MAX_CUTOFF}")
+    probs = w[: hits[0] + 1]
+    return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
+
+
+def tmcc_law(m: float) -> PhotonDistribution:
+    """The truncated TMCC law of one magnitude, cut on the whole grid."""
+    return cut_law(tmcc_weights(m), m * m / (_N + 1.0) ** 2)
+
+
+def poisson_law(mean: float) -> PhotonDistribution:
+    """The truncated Poisson law of one mean, formed and cut on the whole grid."""
+    if mean == 0.0:
+        return PhotonDistribution(np.array([1.0]))
+    return cut_law(np.exp(-mean + math.log(mean) * _N - _LOG_FACTORIAL), mean / (_N + 1.0))
+
+
+def clone_inner_laws(values: np.ndarray, strategy: CloneStrategy) -> list[PhotonDistribution]:
+    """Eve's re-emitted law for each measured n of `values`, one
+    `PhotonDistribution` each."""
+    if strategy is CloneStrategy.SINGLE_PHOTON_BANK:
+        return [PhotonDistribution(np.arange(n + 1) == n) for n in values]
+    if strategy is CloneStrategy.COHERENT:
+        return [poisson_law(float(n)) for n in values]
+    return [tmcc_law(x) for x in _lambdas_for_means(values)]
+
+
+def cloned_bob_matrix(lam: IntensityParam, strategy: CloneStrategy) -> PhotonDistribution:
+    """Bob's clone matrix mixed one inner law at a time, in order of n."""
+    outer = tmcc_law(lam.magnitude)
+    inners = clone_inner_laws(np.arange(outer.probs.size), strategy)
+    probs = np.zeros(max(d.probs.size for d in inners))
+    for w, inner in zip(outer.probs, inners):
+        probs[: inner.probs.size] += w * inner.probs
+    probs /= probs.sum()
+    return PhotonDistribution(probs)
 
 
 class InverseCdfSampler:

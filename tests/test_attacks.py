@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tmcc_qkd import attacks
 from tmcc_qkd.attacks import (
     ClonePulseSampler,
     CloneStrategy,
     SplitPulseSampler,
     SplitRatio,
+    _clone_inner_law,
     _clone_inner_laws,
     _lambdas_for_means,
     _split_marginals,
@@ -29,6 +32,7 @@ from tmcc_qkd.photon_stats import (
 )
 from tmcc_qkd.source import SourceConfig
 
+import oracles
 from oracles import (
     PerValueClonePulseSampler,
     lambda_for_mean_newton,
@@ -249,9 +253,10 @@ class TestBatchedInversion:
 
     def test_clone_inner_laws_equal_per_target_inversion(self):
         values = np.arange(50)
-        for n, law in zip(values, _clone_inner_laws(values, CloneStrategy.TMCC_CLONE)):
+        table, cutoffs = _clone_inner_laws(values, CloneStrategy.TMCC_CLONE)
+        for n, row, cutoff in zip(values, table, cutoffs):
             want = tmcc_distribution(IntensityParam(lambda_for_mean_newton(float(n))))
-            np.testing.assert_array_equal(law.probs, want.probs)
+            np.testing.assert_array_equal(row[: cutoff + 1], want.probs)
 
     def test_clone_matrix_names_first_unreachable_n(self):
         with pytest.raises(PhotonStatsError, match=r"^mean 50\.0 not reachable below lambda ceiling 50\.0$"):
@@ -352,3 +357,80 @@ class TestCloning:
         sampler = ClonePulseSampler(SourceConfig(LAM2, seed=10), CloneStrategy.COHERENT)
         batch = sampler.sample_batch(5000)
         assert np.array_equal(batch.n_e, batch.n_a)  # Eve measured the true count
+
+
+def _error_text(fn, *args) -> str:
+    with pytest.raises(PhotonStatsError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestCloneLawTable:
+    """The table of inner clone laws against one `PhotonDistribution` per n,
+    mixed one law at a time (tests/oracles.py), bit for bit."""
+
+    @pytest.mark.parametrize("strategy", list(CloneStrategy))
+    def test_rows_equal_oracle_laws(self, strategy):
+        # the inner TMCC law exists only for n up to the reachable mean 49.75
+        values = np.arange(50 if strategy is CloneStrategy.TMCC_CLONE else 90)
+        table, cutoffs = _clone_inner_laws(values, strategy)
+        assert table.shape == (values.size, cutoffs.max() + 1)
+        for n, row, cutoff, want in zip(values, table, cutoffs, oracles.clone_inner_laws(values, strategy)):
+            assert cutoff == want.cutoff
+            np.testing.assert_array_equal(row[: cutoff + 1], want.probs)
+            assert not row[cutoff + 1 :].any()
+            one = _clone_inner_law(int(n), strategy)
+            np.testing.assert_array_equal(one.probs, want.probs)
+            assert one.tail_mass == want.tail_mass
+
+    def test_unreachable_inner_law_raises_as_oracle(self):
+        values = np.arange(90)
+        got = _error_text(_clone_inner_laws, values, CloneStrategy.TMCC_CLONE)
+        assert got == _error_text(oracles.clone_inner_laws, values, CloneStrategy.TMCC_CLONE)
+        assert got == "mean 50.0 not reachable below lambda ceiling 50.0"
+
+    @pytest.mark.parametrize(
+        "lam, strategy",
+        [
+            (lam, strategy)
+            for lam in BENCH_LAMBDAS
+            for strategy in CloneStrategy
+            # tmcc-clone raises at 32 and 50 (the test below)
+            if not (strategy is CloneStrategy.TMCC_CLONE and lam >= 32.0)
+        ],
+    )
+    def test_matrix_equals_oracle_mixture(self, lam, strategy):
+        got = cloned_bob_matrix(IntensityParam(lam), strategy)
+        want = oracles.cloned_bob_matrix(IntensityParam(lam), strategy)
+        np.testing.assert_array_equal(got.probs, want.probs)
+
+    @pytest.mark.parametrize("lam", [32.0, 50.0])
+    def test_unreachable_matrix_raises_before_any_newton_step(self, lam, monkeypatch):
+        want = _error_text(oracles.cloned_bob_matrix, IntensityParam(lam), CloneStrategy.TMCC_CLONE)
+
+        def no_newton_step(m):
+            raise AssertionError("a Newton step ran")
+
+        monkeypatch.setattr(attacks, "_tmcc_means", no_newton_step)
+        got = _error_text(cloned_bob_matrix, IntensityParam(lam), CloneStrategy.TMCC_CLONE)
+        assert got == want == "mean 50.0 not reachable below lambda ceiling 50.0"
+
+    # tracemalloc peaks in KiB: the table as wide as its largest cutoff reads
+    # 540, 319 and 193; one 601 columns wide (the whole grid) 1 432, 637 and 909
+    @pytest.mark.parametrize(
+        "lam, strategy, ceiling_kib",
+        [
+            (50.0, CloneStrategy.COHERENT, 768),
+            (16.0, CloneStrategy.TMCC_CLONE, 448),
+            (50.0, CloneStrategy.SINGLE_PHOTON_BANK, 320),
+        ],
+    )
+    def test_matrix_peak_memory(self, lam, strategy, ceiling_kib):
+        cloned_bob_matrix(IntensityParam(lam), strategy)  # warm
+        tracemalloc.start()
+        try:
+            cloned_bob_matrix(IntensityParam(lam), strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling_kib * 1024

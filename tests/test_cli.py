@@ -368,3 +368,42 @@ class TestConfigFile:
             run(["--config", str(cfg), "stats", "--lambda", "2", "--out", str(tmp_path / "fig.csv")])
         assert excinfo.value.code == 1
         assert "lamda" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """`build_parser` is cached; consecutive in-process runs on the one parser
+    must write what runs on fresh parsers write."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @staticmethod
+    def _outputs(tmp_path, runs, fresh):
+        digests = []
+        for i, argv in enumerate(runs):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / ("fresh" if fresh else "reused") / str(i)
+            assert run([*argv, "--out", str(out)]) == 0
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            digests.append([(f.name, f.read_bytes()) for f in files])
+        return digests
+
+    @pytest.mark.parametrize("kind", ["seed", "sweep"])
+    def test_consecutive_runs_match_fresh_parsers(self, tmp_path, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "seed":  # a run with a config file, then one without
+            cfg.write_text('{"seed": 7}')
+            args = ["simulate", "--lambda", "2", "--pulses", "500", "--calibration-trials", "100"]
+            runs = [["--config", str(cfg), *args], args]
+        else:  # a config-file --sweep, then a scenario run
+            cfg.write_text('{"sweep": true}')
+            runs = [
+                ["--config", str(cfg), "attack-split", "--lambda", "2"],
+                ["attack-split", "--lambda", "2", "--split-p2", "0.5", "--pulses", "500",
+                 "--calibration-trials", "100"],
+            ]
+        reused = self._outputs(tmp_path, runs, fresh=False)
+        assert reused == self._outputs(tmp_path, runs, fresh=True)
+        first, second = reused
+        assert first != second

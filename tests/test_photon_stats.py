@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from tmcc_qkd.photon_stats import (
     MAX_LAMBDA,
+    CutoffNotFoundError,
     IntensityParam,
+    PhotonDistribution,
     PhotonStatsError,
-    _tmcc_distributions,
+    _law_table,
+    _poisson_rows,
     _tmcc_moment_arrays,
+    _tmcc_rows,
     poisson_distribution,
     tmcc_distribution,
     tmcc_moments,
@@ -258,10 +262,15 @@ class TestBatchedKernels:
             tmcc_weights(np.array([1.0, bad, 2.0]))
 
     def test_distributions_equal_single_magnitude_calls(self):
-        for m, dist in zip(BATCH_MAGNITUDES, _tmcc_distributions(BATCH_MAGNITUDES)):
+        table, cutoffs = _law_table(*_tmcc_rows(BATCH_MAGNITUDES))
+        assert table.shape == (BATCH_MAGNITUDES.size, cutoffs.max() + 1)
+        for m, row, cutoff in zip(BATCH_MAGNITUDES, table, cutoffs):
             single = tmcc_distribution(IntensityParam(float(m)))
-            np.testing.assert_array_equal(dist.probs, single.probs)
-            assert dist.tail_mass == single.tail_mass
+            want = oracles.tmcc_law(float(m))
+            np.testing.assert_array_equal(row[: cutoff + 1], single.probs)
+            np.testing.assert_array_equal(single.probs, want.probs)
+            assert single.tail_mass == want.tail_mass
+            assert not row[cutoff + 1 :].any()
 
     def test_moment_arrays_equal_tmcc_moments(self):
         positive = BATCH_MAGNITUDES[BATCH_MAGNITUDES > 0.0]
@@ -269,6 +278,86 @@ class TestBatchedKernels:
             single = tmcc_moments(IntensityParam(float(m)))
             assert (mean, variance, q) == (single.mean, single.variance, single.mandel_q)
             assert single.mean == float(np.arange(601) @ oracles.tmcc_weights_row(float(m)))
+
+
+class TestPhotonDistribution:
+    @pytest.mark.parametrize(
+        "probs, tail",
+        [
+            ([math.nan, 0.5], 0.5),
+            ([0.5, 0.5], math.nan),
+            ([math.inf, 0.5], 0.0),
+            ([1.0], math.inf),
+            ([0.5, -math.inf], 0.0),
+        ],
+    )
+    def test_non_finite_refused(self, probs, tail):
+        with pytest.raises(PhotonStatsError):
+            PhotonDistribution(np.array(probs), tail_mass=tail)
+
+    def test_negative_and_unnormalised_refused(self):
+        with pytest.raises(PhotonStatsError, match="nonnegative"):
+            PhotonDistribution(np.array([1.5, -0.5]))
+        with pytest.raises(PhotonStatsError, match="nonnegative"):
+            PhotonDistribution(np.array([1.0]), tail_mass=-0.5)
+        with pytest.raises(PhotonStatsError, match=r"not normalized: sum\+tail = 1\.1"):
+            PhotonDistribution(np.array([0.5, 0.6]))
+
+
+# Poisson means: every integer an inner clone law takes, and a few others
+POISSON_MEANS = np.concatenate([np.arange(90.0), [1e-9, 0.5, 2.5, 33.3, 250.0]])
+
+
+class TestLawTable:
+    """The table kernel against laws cut one at a time over the whole grid."""
+
+    def test_poisson_rows_equal_whole_grid_oracle(self):
+        table, cutoffs = _law_table(*_poisson_rows(POISSON_MEANS))
+        for mean, row, cutoff in zip(POISSON_MEANS, table, cutoffs):
+            want = oracles.poisson_law(float(mean))
+            single = poisson_distribution(float(mean))
+            np.testing.assert_array_equal(row[: cutoff + 1], want.probs)
+            assert not row[cutoff + 1 :].any()
+            np.testing.assert_array_equal(single.probs, want.probs)
+            assert single.tail_mass == want.tail_mass
+
+    def test_table_is_as_wide_as_its_largest_cutoff(self):
+        table, cutoffs = _law_table(*_poisson_rows(np.arange(90.0)))
+        assert table.shape == (90, cutoffs.max() + 1)
+        assert table.shape[1] < 601
+
+    def test_falls_back_to_the_whole_grid(self):
+        # flat weights: the first hit (r/(1-r) below 1e-9) is at n = 100, past
+        # the width that the geometric bound gives for a decaying law
+        widths = []
+
+        def weights(width):
+            widths.append(width)
+            return np.full((1, width), 1e-3)
+
+        table, cutoffs = _law_table(weights, np.array([1e-7]), 1)
+        assert widths == [47, 601]
+        assert cutoffs.tolist() == [100] and table.shape == (1, 101)
+
+    def test_no_cutoff_on_the_grid_raises(self):
+        with pytest.raises(CutoffNotFoundError):
+            poisson_distribution(400.0)
+        with pytest.raises(CutoffNotFoundError):
+            _law_table(*_poisson_rows(np.array([1.0, 400.0])))
+
+    def test_nan_weight_refused(self):
+        def weights(width):
+            w = np.array([[math.exp(-2.0) * 2.0**n / math.factorial(n) for n in range(width)]])
+            w[0, 1] = math.nan
+            return w
+
+        with pytest.raises(PhotonStatsError, match="finite"):
+            _law_table(weights, np.array([2.0]), 1)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_mean_in_batch_raises(self, bad):
+        with pytest.raises(PhotonStatsError, match="mean must be finite"):
+            _poisson_rows(np.array([1.0, bad]))
 
 
 class TestPoisson:

@@ -5,9 +5,7 @@ from .photon_stats import (
     MAX_LAMBDA, TAIL_EPS, IntensityParam, MomentSummary, PhotonDistribution,
     PhotonStatsError, poisson_distribution, tmcc_distribution, tmcc_moments, tmcc_weights,
 )
-from .density_ops import (
-    DistanceReport, distance_report, hs_distance_sq, weak_distance,
-)
+from .density_ops import hs_distance_sq, weak_distance
 from .source import (
     CorrelationReport, PulseBatch, PulseSampler, SourceConfig, correlation_report,
     read_pulse_log, write_pulse_log,
@@ -26,14 +24,13 @@ from .channel import (
 )
 from .detection import (
     DetectionReport, DetectionThresholds, DetectionVerdict, calibrate_thresholds, detect,
-    empirical_distribution,
 )
 
 __all__ = [
     "MAX_LAMBDA", "TAIL_EPS", "IntensityParam", "MomentSummary", "PhotonDistribution",
     "PhotonStatsError", "poisson_distribution", "tmcc_distribution", "tmcc_moments",
     "tmcc_weights",
-    "DistanceReport", "distance_report", "hs_distance_sq", "weak_distance",
+    "hs_distance_sq", "weak_distance",
     "CorrelationReport", "PulseBatch", "PulseSampler", "SourceConfig", "correlation_report",
     "read_pulse_log", "write_pulse_log",
     "ClonePulseSampler", "CloneStrategy", "SplitPulseSampler", "SplitRatio",
@@ -44,6 +41,6 @@ __all__ = [
     "ExchangeVerdict", "Frame", "FrameError", "MsgType", "Role", "Transcript", "decode_frame",
     "encode_frame", "run_reconciliation_exchange",
     "DetectionReport", "DetectionThresholds", "DetectionVerdict", "calibrate_thresholds",
-    "detect", "empirical_distribution",
+    "detect",
 ]
 __version__ = "0.1.0"

@@ -1,25 +1,17 @@
-"""The two distance metrics used for eavesdrop detection.
+"""The two distance metrics between photon-number states (figure 5).
 
 Every state compared in this toolkit is diagonal in the photon-number
 basis (Alice's measurement kills off-diagonal terms), so a density matrix
 is just a photon-number distribution (a `PhotonDistribution`), and the
 Hilbert-Schmidt and weak norms reduce to vector norms of the probability
-difference.
+difference. `detection` computes the same two norms on count histograms.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .photon_stats import PhotonDistribution
-
-
-class DistanceReport(NamedTuple):
-    hs_distance_sq: float
-    weak_distance: float
-    tail_error_bound: float
 
 
 def _padded(a: PhotonDistribution, b: PhotonDistribution):
@@ -45,17 +37,3 @@ def weak_distance(a: PhotonDistribution, b: PhotonDistribution) -> float:
     pa, pb = _padded(a, b)
     return float(np.max(np.abs(pa - pb)))
 
-
-def tail_error_bound(a: PhotonDistribution, b: PhotonDistribution) -> float:
-    """Upper bound on the truncation error of either distance.
-
-    Each operand's untracked tail can contribute at most tail_mass to any
-    single entry, so at most tail_mass**2 to the Hilbert-Schmidt sum and
-    tail_mass to the weak norm; the combined worst case is reported.
-    """
-    return a.tail_mass**2 + b.tail_mass**2 + a.tail_mass + b.tail_mass
-
-
-def distance_report(a: PhotonDistribution, b: PhotonDistribution) -> DistanceReport:
-    """Both distances plus the truncation-tail error bound."""
-    return DistanceReport(hs_distance_sq(a, b), weak_distance(a, b), tail_error_bound(a, b))

@@ -5,6 +5,11 @@ preserves the mean but broadens the counting statistics, so it shows up in
 the Mandel parameter and in the matrix distances to the expected state.
 Decision thresholds are calibrated empirically from clean Monte Carlo runs
 (Bonferroni-split false-alarm budget across the four statistics).
+
+Calibration's multinomial rows and the one histogram of the counts that
+`detect` reads go through one kernel, `_histogram_statistics`; its moments
+are exact sums of the integer counts, so a run gives the same statistics,
+bit for bit, in the null as in `detect`.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density_ops import hs_distance_sq, weak_distance
-from .photon_stats import IntensityParam, PhotonDistribution, tmcc_distribution, tmcc_moments
+from .photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from .source import derive_rng, folded_cdf
 
 MIN_PULSES = 1000
@@ -75,22 +79,29 @@ class DetectionReport:
         return "\n".join(lines) + "\n"
 
 
-def empirical_distribution(counts: Sequence[int]) -> PhotonDistribution:
-    """Normalized histogram of observed counts (tail mass zero)."""
-    arr = np.asarray(counts, dtype=int)
-    if arr.size == 0:
-        raise ValueError("counts must be nonempty")
-    if np.any(arr < 0):
-        raise ValueError("counts must be >= 0")
-    hist = np.bincount(arr).astype(float)
-    return PhotonDistribution(hist / arr.size)
+def _histogram_statistics(hist: np.ndarray, pulses: int, expected: np.ndarray) -> np.ndarray:
+    """Mean, Mandel Q (0 at mean 0), HS^2 and weak distance (rows) of count
+    histograms `hist` (one run of `pulses` pulses per row) against the
+    probabilities `expected`.
 
-
-def _run_statistics(counts: np.ndarray, expected: PhotonDistribution, expected_q: float):
-    emp = empirical_distribution(counts)
-    mean = emp.mean()
-    q_dev = abs(emp.mandel_q() - expected_q) if mean > 0 else abs(expected_q)
-    return mean, q_dev, hs_distance_sq(emp, expected), weak_distance(emp, expected), emp
+    The moments are sums of integer terms, exact in float64 below 2**53 in
+    any order, so no value depends on the row width, the block shape or the
+    BLAS build. Each HS^2 is one 1xK by Kx1 product, equal to np.dot(d, d)
+    to the bit.
+    """
+    rows, width = hist.shape
+    n = np.arange(width, dtype=float)
+    # the counts, zero-padded to the law's width, become the differences in place
+    d = np.zeros((rows, max(width, expected.size)))
+    counts = d[:, :width]
+    counts[...] = hist
+    mean = (counts @ n) / pulses
+    positive = mean > 0
+    q = ((counts @ (n * n)) / pulses - mean**2) / np.where(positive, mean, 1.0) - 1.0
+    d /= pulses
+    d[:, : expected.size] -= expected
+    hs = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    return np.array((mean, np.where(positive, q, 0.0), hs, np.abs(d).max(axis=1)))
 
 
 def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -> np.ndarray:
@@ -102,25 +113,14 @@ def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -
     stream, so the block size does not change the result.
     """
     analytic = tmcc_distribution(lam)
-    expected_q = tmcc_moments(lam).mandel_q
     folded = np.diff(folded_cdf(analytic), prepend=0.0)
-    n = np.arange(folded.size)
     rng = derive_rng(seed, 10)
     stats = np.empty((4, trials))
     block = max(1, _CALIBRATION_BLOCK_CELLS // folded.size)
     for start in range(0, trials, block):
         hist = rng.multinomial(pulses, folded, size=min(block, trials - start))
-        # integer moment sums are exact, so no row depends on the block shape
-        mean = (hist @ n) / pulses
-        positive = mean > 0
-        q = ((hist @ (n * n)) / pulses - mean**2) / np.where(positive, mean, 1.0) - 1.0
-        d = hist / pulses - analytic.probs
-        stats[:, start : start + len(hist)] = (
-            mean,
-            np.where(positive, np.abs(q - expected_q), abs(expected_q)),
-            np.einsum("ij,ij->i", d, d),
-            np.abs(d).max(axis=1),
-        )
+        stats[:, start : start + len(hist)] = _histogram_statistics(hist, pulses, analytic.probs)
+    stats[1] = np.abs(stats[1] - tmcc_moments(lam).mandel_q)
     return stats
 
 
@@ -185,12 +185,18 @@ def detect(
 ) -> DetectionReport:
     """Classify a stream of Bob-side counts against the declared source."""
     arr = np.asarray(counts, dtype=int)
-    expected = tmcc_distribution(expected_lambda)
+    if arr.size == 0:
+        raise ValueError("counts must be nonempty")
+    if np.any(arr < 0):
+        raise ValueError("counts must be >= 0")
+    expected = tmcc_distribution(expected_lambda).probs
     moments = tmcc_moments(expected_lambda)
-    mean, q_dev, hs_val, weak_val, emp = _run_statistics(arr, expected, moments.mandel_q)
+    stats = _histogram_statistics(np.bincount(arr)[None], arr.size, expected)
+    mean, q, hs_val, weak_val = stats[:, 0].tolist()
+    q_dev = abs(q - moments.mandel_q)
     report_fields = dict(
         empirical_mean=mean,
-        empirical_mandel_q=emp.mandel_q(),
+        empirical_mandel_q=q,
         hs_dist_sq=hs_val,
         weak_dist=weak_val,
         pulse_count=int(arr.size),

@@ -14,6 +14,7 @@ from tmcc_qkd.attacks import (
     _clone_inner_law,
     _lambdas_for_means,
 )
+from tmcc_qkd.density_ops import hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import (
     _LOG_FACTORIAL,
     _N,
@@ -238,6 +239,27 @@ def cloned_bob_matrix(lam: IntensityParam, strategy: CloneStrategy) -> PhotonDis
         probs[: inner.probs.size] += w * inner.probs
     probs /= probs.sum()
     return PhotonDistribution(probs)
+
+
+def empirical_distribution(counts) -> PhotonDistribution:
+    """Normalized histogram of observed counts (tail mass zero)."""
+    arr = np.asarray(counts, dtype=int)
+    if arr.size == 0:
+        raise ValueError("counts must be nonempty")
+    if np.any(arr < 0):
+        raise ValueError("counts must be >= 0")
+    hist = np.bincount(arr).astype(float)
+    return PhotonDistribution(hist / arr.size)
+
+
+def run_statistics(counts: np.ndarray, expected: PhotonDistribution, expected_q: float):
+    """Oracle per-run statistics: mean, Mandel-Q deviation, HS^2 and weak
+    distance of one run, plus its empirical distribution, through
+    `PhotonDistribution.mean`/`mandel_q` and `density_ops`."""
+    emp = empirical_distribution(counts)
+    mean = emp.mean()
+    q_dev = abs(emp.mandel_q() - expected_q) if mean > 0 else abs(expected_q)
+    return mean, q_dev, hs_distance_sq(emp, expected), weak_distance(emp, expected), emp
 
 
 class InverseCdfSampler:

@@ -6,20 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcc_qkd.attacks import SplitRatio, split_marginal_bob
-from tmcc_qkd.density_ops import (
-    distance_report,
-    hs_distance_sq,
-    tail_error_bound,
-    weak_distance,
-)
+from tmcc_qkd.density_ops import hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import IntensityParam, PhotonDistribution, tmcc_distribution
 
 # |1 - 1/I_0(2)| from the 40-digit series oracle
 WEAK_VACUUM_VS_LAMBDA1 = 0.5613237201629512606
 
 
-def matrix(probs, tail=0.0):
-    return PhotonDistribution(np.asarray(probs, dtype=float), tail_mass=tail)
+def matrix(probs):
+    return PhotonDistribution(np.asarray(probs, dtype=float))
 
 
 def random_matrix(rnd, size):
@@ -93,13 +88,3 @@ class TestMetricProperties:
         assert weak_distance(a, near) < 1e-14
         assert weak_distance(a, far) >= 1e-14
 
-
-class TestTailBound:
-    def test_reported_bound(self):
-        a = matrix([0.6, 0.4 - 1e-13], tail=1e-13)
-        b = matrix([1.0])
-        report = distance_report(a, b)
-        assert report.tail_error_bound == tail_error_bound(a, b)
-        assert report.tail_error_bound >= a.tail_mass
-        assert report.hs_distance_sq == hs_distance_sq(a, b)
-        assert report.weak_distance == weak_distance(a, b)

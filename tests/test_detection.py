@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,17 +10,19 @@ from tmcc_qkd.detection import (
     DetectionThresholds,
     DetectionVerdict,
     _null_statistics,
-    _run_statistics,
     calibrate_thresholds,
     detect,
-    empirical_distribution,
 )
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from tmcc_qkd.source import PulseSampler, SourceConfig, derive_rng, folded_cdf
 
-from oracles import InverseCdfSampler
+from oracles import InverseCdfSampler, empirical_distribution, run_statistics
 
 LAM2 = IntensityParam(2.0)
+# thresholds that no run crosses, for reading the statistics of any stream
+LOOSE = DetectionThresholds(
+    mean_low=0.0, mean_high=1e300, mandel_q_dev_max=1e300, hs_dist_sq_max=1e300, weak_dist_max=1e300
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,22 +40,13 @@ def per_pulse_null(lam, pulses, trials, seed):
     analytic = tmcc_distribution(lam)
     expected_q = tmcc_moments(lam).mandel_q
     runs = [
-        _run_statistics(InverseCdfSampler(analytic, derive_rng(seed, 10, t)).draw(pulses), analytic, expected_q)[:4]
+        run_statistics(InverseCdfSampler(analytic, derive_rng(seed, 10, t)).draw(pulses), analytic, expected_q)[:4]
         for t in range(trials)
     ]
     return np.array(runs).T
 
 
 class TestEmpiricalDistribution:
-    def test_all_zero(self):
-        d = empirical_distribution([0, 0, 0])
-        assert d.cutoff == 0 and d.probs[0] == 1.0
-
-    def test_simple_histogram(self):
-        d = empirical_distribution([0, 1, 1, 2])
-        np.testing.assert_array_equal(d.probs, [0.25, 0.5, 0.25])
-        assert d.tail_mass == 0.0
-
     def test_large_sample_close_to_analytic(self):
         sampler = InverseCdfSampler(tmcc_distribution(LAM2), derive_rng(17, 0))
         counts = sampler.draw(1_000_000)
@@ -139,8 +134,22 @@ class TestNullStatistics:
         expected = analytic
         for t, hist in enumerate(hists):
             counts = np.repeat(np.arange(folded.size), hist)
-            run = _run_statistics(counts, expected, tmcc_moments(lam).mandel_q)[:4]
+            run = run_statistics(counts, expected, tmcc_moments(lam).mandel_q)[:4]
             np.testing.assert_allclose(null[:, t], run, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("lam, pulses", [(2.0, 1000), (0.05, 3), (8.0, 50), (45.0, 100)])
+    def test_rows_equal_detect(self, lam, pulses):
+        # the calibration null is `detect`'s statistic, bit for bit
+        lam = IntensityParam(lam)
+        analytic = tmcc_distribution(lam)
+        expected_q = tmcc_moments(lam).mandel_q
+        folded = np.diff(folded_cdf(analytic), prepend=0.0)
+        hists = derive_rng(8, 10).multinomial(pulses, folded, size=200)
+        null = _null_statistics(lam, pulses, 200, 8)
+        for t, hist in enumerate(hists):
+            report = detect(np.repeat(np.arange(folded.size), hist), lam, LOOSE)
+            got = [report.empirical_mean, abs(report.empirical_mandel_q - expected_q), report.hs_dist_sq, report.weak_dist]
+            np.testing.assert_array_equal(got, null[:, t])
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         whole = _null_statistics(LAM2, 5000, 300, 3)
@@ -208,6 +217,42 @@ class TestDetect:
     def test_deterministic_report(self, thresholds):
         counts = clean_counts(seed=9)
         assert detect(counts, LAM2, thresholds) == detect(counts, LAM2, thresholds)
+
+
+class TestDetectEdgeInputs:
+    def test_empty_and_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            detect([], LAM2, LOOSE)
+        with pytest.raises(ValueError, match=">= 0"):
+            detect([1, -1], LAM2, LOOSE)
+
+    def test_all_zero_stream(self):
+        # Mandel Q is 0 by continuity, so the deviation is |Q0|
+        q0 = abs(tmcc_moments(LAM2).mandel_q)
+        counts = np.zeros(2000, dtype=int)
+        report = detect(counts, LAM2, LOOSE)
+        assert report.empirical_mean == 0.0 and report.empirical_mandel_q == 0.0
+        at_q0 = dataclasses.replace(LOOSE, mandel_q_dev_max=q0)
+        below_q0 = dataclasses.replace(LOOSE, mandel_q_dev_max=np.nextafter(q0, 0.0))
+        assert detect(counts, LAM2, at_q0).verdict is DetectionVerdict.CLEAN
+        assert detect(counts, LAM2, below_q0).verdict is DetectionVerdict.SUSPECT_CLONE
+
+    def test_counts_past_the_cutoff_equal_oracle(self):
+        # the histogram is wider than the law, so the law is zero-padded
+        expected = tmcc_distribution(LAM2)
+        counts = np.concatenate([clean_counts(seed=21, pulses=3000), [expected.cutoff + 1, expected.cutoff + 7]])
+        report = detect(counts, LAM2, LOOSE)
+        oracle = run_statistics(counts, expected, tmcc_moments(LAM2).mandel_q)
+        assert np.bincount(counts).size > expected.probs.size
+        np.testing.assert_allclose(report.empirical_mean, oracle[0], rtol=1e-12)
+        np.testing.assert_allclose(report.empirical_mandel_q, oracle[4].mandel_q(), rtol=1e-12)
+        np.testing.assert_array_equal([report.hs_dist_sq, report.weak_dist], oracle[2:4])
+
+    def test_large_counts_do_not_wrap(self):
+        # 2.2e6 * (2**21)**2 > 2**63: an int64 second-moment sum would wrap around
+        report = detect(np.full(2_200_000, 1 << 21), LAM2, LOOSE)
+        assert report.empirical_mean == 2.0**21
+        assert report.empirical_mandel_q == -1.0
 
 
 class TestReportSerialization:

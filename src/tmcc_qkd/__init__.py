@@ -12,7 +12,7 @@ from .source import (
 )
 from .attacks import (
     ClonePulseSampler, CloneStrategy, SplitPulseSampler, SplitRatio, cloned_bob_matrix,
-    lambda_for_mean, lambda_of_n, split_marginal_bob, split_marginal_eve,
+    lambda_for_mean, split_marginal_bob, split_marginal_eve,
 )
 from .protocol import (
     ErrorModel, ErrorReport, KeyMaterial, MismatchReason, ReconcileResult,
@@ -34,8 +34,7 @@ __all__ = [
     "CorrelationReport", "PulseBatch", "PulseSampler", "SourceConfig", "correlation_report",
     "read_pulse_log", "write_pulse_log",
     "ClonePulseSampler", "CloneStrategy", "SplitPulseSampler", "SplitRatio",
-    "cloned_bob_matrix", "lambda_for_mean", "lambda_of_n", "split_marginal_bob",
-    "split_marginal_eve",
+    "cloned_bob_matrix", "lambda_for_mean", "split_marginal_bob", "split_marginal_eve",
     "ErrorModel", "ErrorReport", "KeyMaterial", "MismatchReason", "ReconcileResult",
     "error_probability", "expected_disagreement_rate", "extract_keys", "reconcile",
     "ExchangeVerdict", "Frame", "FrameError", "MsgType", "Role", "Transcript", "decode_frame",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .photon_stats import (
     PhotonDistribution,
     PhotonStatsError,
     _LOG_FACTORIAL,
-    _N,
     _law,
     _law_table,
     _poisson_rows,
@@ -59,13 +57,6 @@ class SplitRatio:
             raise ValueError("p^2 must lie in [0, 1]")
         return cls(math.sqrt(p_sq), math.sqrt(1.0 - p_sq))
 
-    @classmethod
-    def from_angle(cls, psi: float) -> "SplitRatio":
-        """p = cos(psi), q = sin(psi) for psi in [0, pi/2]."""
-        if not 0.0 <= psi <= math.pi / 2:
-            raise ValueError("psi must lie in [0, pi/2]")
-        return cls(math.cos(psi), math.sin(psi))
-
 
 class CloneStrategy(enum.Enum):
     SINGLE_PHOTON_BANK = "single-photon-bank"
@@ -73,42 +64,42 @@ class CloneStrategy(enum.Enum):
     TMCC_CLONE = "tmcc-clone"
 
 
-def _split_marginals(lam: IntensityParam, ratios: list[SplitRatio]) -> list[PhotonDistribution]:
-    """Bob's photon-number marginal after each amplitude split in `ratios`.
+def _split_marginals(lam: IntensityParam, ratios: list[SplitRatio]) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's photon-number marginal after each amplitude split in `ratios`:
+    a law stack, one row per split as wide as the source law, and the cutoffs.
 
     The TMCC law mixed over Binomial(n, p^2), P @ B, with B built in the log
     domain; n runs until P_n is negligible, not just to the source cutoff,
     and Bob's k to the source cutoff.  The weights, the (n, k) grid and
     log C(n, k) are built once and shared by every split.  Limits p=1 (no
-    split) and p=0 (vacuum at Bob) are handled exactly.
+    split: the source law) and p=0 (vacuum at Bob, cutoff 0) are exact.
     """
     m = lam.magnitude
-    source = tmcc_distribution(lam)
-    vacuum = PhotonDistribution(np.array([1.0]))
+    source = tmcc_distribution(lam).probs
+    table = np.zeros((len(ratios), source.size))
+    cutoffs = np.full(len(ratios), source.size - 1)
     w = tmcc_weights(m)
-    k = np.arange(source.probs.size)
+    k = np.arange(source.size)
     n = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)[:, None]
     j = n - k  # photons toward Eve
     log_c = _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[abs(j)]
-    laws = []
-    for r in ratios:
+    for i, r in enumerate(ratios):
         if r.q == 0.0 or m == 0.0:
-            laws.append(source)
+            table[i] = source
         elif r.p == 0.0:
-            laws.append(vacuum)
+            table[i, 0], cutoffs[i] = 1.0, 0
         else:
             # log B = log C(n, k) + k log p^2 + j log q^2, summed in that order
             log_b = log_c + k * math.log(r.p**2)
             log_b += j * math.log(r.q**2)
             log_b[j < 0] = -np.inf
-            probs = w[: n.size] @ np.exp(log_b, out=log_b)
-            laws.append(PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum()))))
-    return laws
+            table[i] = w[: n.size] @ np.exp(log_b, out=log_b)
+    return table, cutoffs
 
 
 def split_marginal_bob(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
     """Bob's photon-number marginal after an amplitude split (p toward Bob)."""
-    return _split_marginals(lam, [r])[0]
+    return _law(*_split_marginals(lam, [r]))
 
 
 def split_marginal_eve(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:
@@ -179,14 +170,6 @@ def _lambdas_for_means(targets: np.ndarray) -> np.ndarray:
 def lambda_for_mean(target: float) -> IntensityParam:
     """Invert the mean photon number: the unique lambda with <N>(lambda) = target."""
     return IntensityParam(float(_lambdas_for_means(np.array([target]))[0]))
-
-
-@lru_cache(maxsize=4096)
-def lambda_of_n(n: int) -> IntensityParam:
-    """Eve's optimal TMCC clone setting for a measured photon number n."""
-    if n < 0:
-        raise PhotonStatsError("photon number must be >= 0")
-    return lambda_for_mean(float(n))
 
 
 def _clone_inner_laws(values: np.ndarray, strategy: CloneStrategy) -> tuple[np.ndarray, np.ndarray]:

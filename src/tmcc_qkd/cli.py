@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, channel, detection, protocol
-from .density_ops import hs_distance_sq, weak_distance
+from .density_ops import distances
 from .photon_stats import (
     IntensityParam,
     PhotonStatsError,
@@ -148,20 +148,26 @@ def _intensity(args, parser, default: float | None = None) -> IntensityParam:
     return IntensityParam(default if args.lam is None else args.lam)
 
 
+def _made_path(parser, flag: str, text: str, directory: bool = False) -> Path:
+    """The path `text` of `flag`, with the directory it needs made: the path
+    itself if `directory`, else the parent of the file it names.  A directory
+    that cannot be made, or a file path that names a directory, is a usage
+    error naming the flag."""
+    path = Path(text)
+    try:
+        (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"{flag} {text}: cannot create the directory: {exc}")
+    if not directory and path.is_dir():
+        parser.error(f"{flag} {text}: is a directory, expected a file")
+    return path
+
+
 def _out_path(args, parser, directory: bool = False) -> Path:
-    """--out, with the directory it needs made: --out itself if `directory`,
-    else the parent of the file it names.  A directory that cannot be made,
-    or a file path that names a directory, is a usage error naming --out."""
+    """--out, made as `_made_path` makes it."""
     if args.out is None:
         parser.error("--out is required for this command")
-    out = Path(args.out)
-    try:
-        (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        parser.error(f"--out {args.out}: cannot create the directory: {exc}")
-    if not directory and out.is_dir():
-        parser.error(f"--out {args.out}: is a directory, expected a file")
-    return out
+    return _made_path(parser, "--out", args.out, directory)
 
 
 def _figure_rows(figure: int, lam: IntensityParam):
@@ -181,14 +187,13 @@ def _figure_rows(figure: int, lam: IntensityParam):
         rows = zip(mean.tolist(), variance.tolist(), mean.tolist())  # Poisson variance = mean
         return ["mean_n", "sigma2_tmcc", "sigma2_poisson"], list(rows)
     if figure in (5, 6):
-        original = tmcc_distribution(lam)
+        original = tmcc_distribution(lam).probs
         ratios = [attacks.SplitRatio.from_p_squared(float(p_sq)) for p_sq in np.linspace(1.0, 0.0, 21)]
-        bobs = attacks._split_marginals(lam, ratios)
-        eves = attacks._split_marginals(lam, [attacks.SplitRatio(r.q, r.p) for r in ratios])
-        rows = [
-            (r.p, hs_distance_sq(bob, original), hs_distance_sq(eve, original), weak_distance(bob, original))
-            for r, bob, eve in zip(ratios, bobs, eves)
-        ]
+        bobs, _ = attacks._split_marginals(lam, ratios)
+        eves, _ = attacks._split_marginals(lam, [attacks.SplitRatio(r.q, r.p) for r in ratios])
+        hs_bob, weak_bob = distances(bobs, original)
+        hs_eve, _ = distances(eves, original)
+        rows = list(zip([r.p for r in ratios], hs_bob.tolist(), hs_eve.tolist(), weak_bob.tolist()))
         return _figure6(rows) if figure == 6 else (["p", "hs_dist_bob", "hs_dist_eve", "weak_dist"], rows)
     raise ValueError(f"unknown figure {figure}")
 
@@ -313,31 +318,32 @@ def _exchange_exit(verdict: channel.ExchangeVerdict) -> int:
     return EXIT_ABORT
 
 
+def _reconcile(args, parser, exchange, address) -> int:
+    """One reconciliation exchange on the --key file; the --transcript file's
+    directory is made before any socket opens."""
+    key = _load_key(args.key, parser)
+    path = None if args.transcript is None else _made_path(parser, "--transcript", args.transcript)
+    transcript = None if path is None else channel.Transcript()
+    try:
+        verdict = exchange(*address, key, args.timeout_secs, transcript)
+    except channel.KeySizeError as exc:  # raised for the initiator's key only
+        parser.error(f"key file {args.key}: {exc}")
+    if path is not None:
+        transcript.dump_hex(path)
+    print(f"verdict={verdict.value}")
+    return _exchange_exit(verdict)
+
+
 def cmd_reconcile_serve(args, parser) -> int:
     if args.listen is None or args.key is None:
         parser.error("reconcile-serve requires --listen and --key")
-    key = _load_key(args.key, parser)
-    transcript = channel.Transcript() if args.transcript else None
-    verdict = channel.serve_reconciliation(*args.listen, key, args.timeout_secs, transcript)
-    if transcript is not None:
-        transcript.dump_hex(args.transcript)
-    print(f"verdict={verdict.value}")
-    return _exchange_exit(verdict)
+    return _reconcile(args, parser, channel.serve_reconciliation, args.listen)
 
 
 def cmd_reconcile_connect(args, parser) -> int:
     if args.peer is None or args.key is None:
         parser.error("reconcile-connect requires --peer and --key")
-    key = _load_key(args.key, parser)
-    transcript = channel.Transcript() if args.transcript else None
-    try:
-        verdict = channel.connect_reconciliation(*args.peer, key, args.timeout_secs, transcript)
-    except channel.KeySizeError as exc:
-        parser.error(f"key file {args.key}: {exc}")
-    if transcript is not None:
-        transcript.dump_hex(args.transcript)
-    print(f"verdict={verdict.value}")
-    return _exchange_exit(verdict)
+    return _reconcile(args, parser, channel.connect_reconciliation, args.peer)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,14 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pulses=False):
+    def common(p, run=False, pulses=False):
+        """--lambda and --out; with `run` the flags of a detection report, with `pulses` --pulses."""
         p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=None)
-        p.add_argument("--epsilon", type=_EPSILON, default=None)
-        p.add_argument("--seed", type=_SEED, default=None)
         p.add_argument("--out", default=None)
+        if run:
+            p.add_argument("--epsilon", type=_EPSILON, default=None)
+            p.add_argument("--seed", type=_SEED, default=None)
+            p.add_argument("--calibration-trials", type=_TRIALS, default=None)
         if pulses:
             p.add_argument("--pulses", type=_PULSES, default=None)
-            p.add_argument("--calibration-trials", type=_TRIALS, default=None)
 
     p = sub.add_parser("stats", help="analytic figure data (figures 1, 2, 3, 5, 6) as CSV")
     common(p)
@@ -376,17 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("simulate", help="clean end-to-end run: pulses, keys, detection report")
-    common(p, pulses=True)
+    common(p, run=True, pulses=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("attack-split", help="beam-splitting attack scenario or --sweep data")
-    common(p, pulses=True)
+    common(p, run=True, pulses=True)
     p.add_argument("--split-p2", type=_SPLIT_P2, default=None, help="fraction p^2 kept by Bob")
     p.add_argument("--sweep", action="store_true", default=None)
     p.set_defaults(func=cmd_attack_split)
 
     p = sub.add_parser("attack-clone", help="state-cloning attack scenario")
-    common(p, pulses=True)
+    common(p, run=True, pulses=True)
     p.add_argument(
         "--clone-strategy",
         choices=[s.value for s in attacks.CloneStrategy],
@@ -395,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack_clone)
 
     p = sub.add_parser("detect", help="detection report from an existing pulse log")
-    common(p)
+    common(p, run=True)
     p.add_argument("--pulse-log", default=None)
-    p.add_argument("--calibration-trials", type=_TRIALS, default=None)
     p.set_defaults(func=cmd_detect)
 
     for name, fn in (("reconcile-serve", cmd_reconcile_serve), ("reconcile-connect", cmd_reconcile_connect)):

@@ -2,9 +2,10 @@
 
 Every state compared in this toolkit is diagonal in the photon-number
 basis (Alice's measurement kills off-diagonal terms), so a density matrix
-is just a photon-number distribution (a `PhotonDistribution`), and the
-Hilbert-Schmidt and weak norms reduce to vector norms of the probability
-difference. `detection` computes the same two norms on count histograms.
+is just a photon-number distribution, and the Hilbert-Schmidt and weak
+norms reduce to vector norms of the probability difference. One kernel,
+`distances`, computes both for a stack of rows: figure 5's split laws and
+`detection`'s count histograms.
 """
 
 from __future__ import annotations
@@ -14,26 +15,24 @@ import numpy as np
 from .photon_stats import PhotonDistribution
 
 
-def _padded(a: PhotonDistribution, b: PhotonDistribution):
-    pa, pb = a.probs, b.probs
-    n = max(pa.size, pb.size)
-    if pa.size < n:
-        pa = np.pad(pa, (0, n - pa.size))
-    if pb.size < n:
-        pb = np.pad(pb, (0, n - pb.size))
-    return pa, pb
+def distances(rows: np.ndarray, expected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Hilbert-Schmidt distance sum_n (P_n - Q_n)^2 and weak distance
+    max_n |P_n - Q_n| of each row P of the 2-d `rows` to the probabilities Q
+    of `expected`, over the common range with the shorter one zero-padded.
+
+    Each HS^2 is one 1xK by Kx1 product, equal to np.dot(d, d) to the bit.
+    """
+    d = np.zeros((len(rows), max(rows.shape[1], expected.size)))
+    d[:, : rows.shape[1]] = rows
+    d[:, : expected.size] -= expected
+    return (d[:, None, :] @ d[:, :, None])[:, 0, 0], np.abs(d).max(axis=1)
 
 
 def hs_distance_sq(a: PhotonDistribution, b: PhotonDistribution) -> float:
-    """Squared Hilbert-Schmidt distance: sum_n (P_n - Q_n)^2 over the
-    zero-padded common range."""
-    pa, pb = _padded(a, b)
-    d = pa - pb
-    return float(np.dot(d, d))
+    """Squared Hilbert-Schmidt distance of two laws (see `distances`)."""
+    return float(distances(a.probs[None], b.probs)[0][0])
 
 
 def weak_distance(a: PhotonDistribution, b: PhotonDistribution) -> float:
-    """Weak-norm distance: max_n |P_n - Q_n| over the padded common range."""
-    pa, pb = _padded(a, b)
-    return float(np.max(np.abs(pa - pb)))
-
+    """Weak-norm distance of two laws (see `distances`)."""
+    return float(distances(a.probs[None], b.probs)[1][0])

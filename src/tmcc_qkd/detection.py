@@ -8,8 +8,9 @@ Decision thresholds are calibrated empirically from clean Monte Carlo runs
 
 Calibration's multinomial rows and the one histogram of the counts that
 `detect` reads go through one kernel, `_histogram_statistics`; its moments
-are exact sums of the integer counts, so a run gives the same statistics,
-bit for bit, in the null as in `detect`.
+are exact sums of the integer counts, and its distances come from
+`density_ops.distances`, so a run gives the same statistics, bit for bit, in
+the null as in `detect`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .density_ops import distances
 from .photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from .source import derive_rng, folded_cdf
 
@@ -86,22 +88,15 @@ def _histogram_statistics(hist: np.ndarray, pulses: int, expected: np.ndarray) -
 
     The moments are sums of integer terms, exact in float64 below 2**53 in
     any order, so no value depends on the row width, the block shape or the
-    BLAS build. Each HS^2 is one 1xK by Kx1 product, equal to np.dot(d, d)
-    to the bit.
+    BLAS build. The distances are `density_ops.distances` of the rows.
     """
-    rows, width = hist.shape
-    n = np.arange(width, dtype=float)
-    # the counts, zero-padded to the law's width, become the differences in place
-    d = np.zeros((rows, max(width, expected.size)))
-    counts = d[:, :width]
-    counts[...] = hist
+    counts = hist.astype(float)
+    n = np.arange(counts.shape[1], dtype=float)
     mean = (counts @ n) / pulses
     positive = mean > 0
     q = ((counts @ (n * n)) / pulses - mean**2) / np.where(positive, mean, 1.0) - 1.0
-    d /= pulses
-    d[:, : expected.size] -= expected
-    hs = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    return np.array((mean, np.where(positive, q, 0.0), hs, np.abs(d).max(axis=1)))
+    counts /= pulses
+    return np.array((mean, np.where(positive, q, 0.0), *distances(counts, expected)))
 
 
 def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from tmcc_qkd.attacks import (
     _clone_inner_law,
     _lambdas_for_means,
 )
-from tmcc_qkd.density_ops import hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import (
     _LOG_FACTORIAL,
     _N,
@@ -239,6 +238,30 @@ def cloned_bob_matrix(lam: IntensityParam, strategy: CloneStrategy) -> PhotonDis
         probs[: inner.probs.size] += w * inner.probs
     probs /= probs.sum()
     return PhotonDistribution(probs)
+
+
+def _padded(a: PhotonDistribution, b: PhotonDistribution):
+    pa, pb = a.probs, b.probs
+    n = max(pa.size, pb.size)
+    if pa.size < n:
+        pa = np.pad(pa, (0, n - pa.size))
+    if pb.size < n:
+        pb = np.pad(pb, (0, n - pb.size))
+    return pa, pb
+
+
+def hs_distance_sq(a: PhotonDistribution, b: PhotonDistribution) -> float:
+    """Squared Hilbert-Schmidt distance: sum_n (P_n - Q_n)^2 over the
+    zero-padded common range, one pair at a time."""
+    pa, pb = _padded(a, b)
+    d = pa - pb
+    return float(np.dot(d, d))
+
+
+def weak_distance(a: PhotonDistribution, b: PhotonDistribution) -> float:
+    """Weak-norm distance: max_n |P_n - Q_n| over the padded common range."""
+    pa, pb = _padded(a, b)
+    return float(np.max(np.abs(pa - pb)))
 
 
 def empirical_distribution(counts) -> PhotonDistribution:

@@ -18,7 +18,6 @@ from tmcc_qkd.attacks import (
     _split_marginals,
     cloned_bob_matrix,
     lambda_for_mean,
-    lambda_of_n,
     split_marginal_bob,
     split_marginal_eve,
 )
@@ -27,6 +26,7 @@ from tmcc_qkd.photon_stats import (
     MAX_LAMBDA,
     IntensityParam,
     PhotonStatsError,
+    _law,
     tmcc_distribution,
     tmcc_moments,
 )
@@ -63,10 +63,6 @@ class TestSplitRatio:
         r = SplitRatio.from_p_squared(0.3)
         assert r.p**2 == pytest.approx(0.3, rel=1e-12)
         assert r.p**2 + r.q**2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_from_angle(self):
-        r = SplitRatio.from_angle(math.pi / 4)
-        assert r.p == pytest.approx(r.q, rel=1e-12)
 
 
 class TestSplitMarginals:
@@ -170,19 +166,19 @@ class TestSplitSampling:
 
 class TestLambdaInversion:
     def test_zero(self):
-        assert lambda_of_n(0).magnitude == 0.0
+        assert lambda_for_mean(0.0).magnitude == 0.0
 
     @pytest.mark.parametrize("n", list(range(0, 50, 5)) + [49])
     def test_round_trip(self, n):
-        assert tmcc_moments(lambda_of_n(n)).mean == pytest.approx(float(n), abs=1e-8)
+        assert tmcc_moments(lambda_for_mean(float(n))).mean == pytest.approx(float(n), abs=1e-8)
 
     def test_mean_50_needs_lambda_above_ceiling(self):
         # <N>(MAX_LAMBDA) is about 49.75, so 50 is just out of reach
         with pytest.raises(PhotonStatsError):
-            lambda_of_n(50)
+            lambda_for_mean(50.0)
 
     def test_monotone(self):
-        values = [lambda_of_n(n).magnitude for n in range(50)]
+        values = [lambda_for_mean(float(n)).magnitude for n in range(50)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_unreachable_target(self):
@@ -191,7 +187,7 @@ class TestLambdaInversion:
 
     def test_negative_raises(self):
         with pytest.raises(PhotonStatsError):
-            lambda_of_n(-1)
+            lambda_for_mean(-1.0)
 
     def test_agrees_with_brentq(self):
         from scipy.optimize import brentq
@@ -264,19 +260,27 @@ class TestBatchedInversion:
 
 
 class TestBatchedSplit:
+    @staticmethod
+    def _assert_rows_equal_oracle(lam, ratios):
+        table, cutoffs = _split_marginals(lam, ratios)
+        assert table.shape == (len(ratios), tmcc_distribution(lam).probs.size)
+        for r, row, cutoff in zip(ratios, table, cutoffs):
+            want = split_marginal_mixture(lam, r)
+            assert cutoff == want.cutoff
+            np.testing.assert_array_equal(row, np.pad(want.probs, (0, row.size - want.probs.size)))
+            assert _law(row[None], cutoff[None]).tail_mass == want.tail_mass
+
     @pytest.mark.parametrize("lam", BENCH_LAMBDAS)
     def test_figure5_ratios_equal_per_ratio_mixture(self, lam):
+        # figure 5's grid holds the no-split (p^2 = 1) and vacuum (p^2 = 0) rows
         lam = IntensityParam(lam)
-        swapped = [SplitRatio(r.q, r.p) for r in FIGURE5_RATIOS]
-        for ratios in (FIGURE5_RATIOS, swapped):
-            for r, got in zip(ratios, _split_marginals(lam, ratios)):
-                want = split_marginal_mixture(lam, r)
-                np.testing.assert_array_equal(got.probs, want.probs)
-                assert got.tail_mass == want.tail_mass
+        self._assert_rows_equal_oracle(lam, FIGURE5_RATIOS)
+        self._assert_rows_equal_oracle(lam, [SplitRatio(r.q, r.p) for r in FIGURE5_RATIOS])
 
     def test_vacuum_source_gives_vacuum_for_every_ratio(self):
-        for law in _split_marginals(IntensityParam(0.0), FIGURE5_RATIOS):
-            np.testing.assert_array_equal(law.probs, [1.0])
+        table, cutoffs = _split_marginals(IntensityParam(0.0), FIGURE5_RATIOS)
+        np.testing.assert_array_equal(table, np.ones((len(FIGURE5_RATIOS), 1)))
+        np.testing.assert_array_equal(cutoffs, 0)
 
 
 class TestCloning:

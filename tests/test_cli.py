@@ -44,6 +44,25 @@ class TestStats:
         _, rows = read_csv(out)
         assert all(float(r[1]) < float(r[2]) for r in rows)
 
+    @pytest.mark.parametrize("command", ["stats", "figures"])
+    @pytest.mark.parametrize("flag", ["--seed", "--epsilon"])
+    def test_analytic_commands_refuse_run_flags(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, flag, "1", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "figures"])
+    def test_analytic_commands_skip_run_config_keys(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 7, "epsilon": 0.05}')
+        assert run(["--config", str(cfg), command, "--out", str(tmp_path / "cfg")]) == 0
+        assert run([command, "--out", str(tmp_path / "flag")]) == 0
+        files = [p.relative_to(tmp_path / "cfg") for p in sorted((tmp_path / "cfg").rglob("*"))]
+        assert [(tmp_path / "cfg" / f).read_bytes() for f in files] == [
+            (tmp_path / "flag" / f).read_bytes() for f in files
+        ]
+
     def test_figures_command_writes_all(self, tmp_path):
         assert run(["figures", "--lambda", "2", "--out", str(tmp_path / "figs")]) == 0
         for n in (1, 2, 3, 5, 6):
@@ -317,6 +336,47 @@ class TestReconcileCli:
         thread.join()
         lines = transcript.read_text().splitlines()
         assert lines and all(line[0] in "<>" for line in lines)
+
+    def test_transcript_directories_made(self, tmp_path):
+        (tmp_path / "a.key").write_text("1011\n")
+        (tmp_path / "b.key").write_text("1011\n")
+        port = free_port()
+        results = {}
+
+        def serve():
+            results["serve"] = run(
+                ["reconcile-serve", "--key", str(tmp_path / "b.key"), "--listen", f"127.0.0.1:{port}",
+                 "--timeout-secs", "5", "--transcript", str(tmp_path / "serve" / "t.hex")]
+            )
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        time.sleep(0.2)
+        results["connect"] = run(
+            ["reconcile-connect", "--key", str(tmp_path / "a.key"), "--peer", f"127.0.0.1:{port}",
+             "--timeout-secs", "5", "--transcript", str(tmp_path / "connect" / "deep" / "t.hex")]
+        )
+        thread.join()
+        assert results == {"serve": 0, "connect": 0}
+        sent = (tmp_path / "connect" / "deep" / "t.hex").read_text().splitlines()
+        received = (tmp_path / "serve" / "t.hex").read_text().splitlines()
+        # each end logs the other's frames with the direction flipped
+        assert sent and [line.translate(str.maketrans("<>", "><")) for line in sent] == received
+
+    @pytest.mark.parametrize("command", ["reconcile-serve", "reconcile-connect"])
+    def test_transcript_naming_a_directory_refused_before_any_socket(self, tmp_path, capsys, monkeypatch,
+                                                                     command):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        for name in ("socket", "create_server", "create_connection"):
+            monkeypatch.setattr(socket, name, no_socket)
+        (tmp_path / "a.key").write_text("1010\n")
+        address = ["--listen", "127.0.0.1:0"] if command == "reconcile-serve" else ["--peer", "127.0.0.1:1"]
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--key", str(tmp_path / "a.key"), *address, "--transcript", str(tmp_path)])
+        assert excinfo.value.code == 1
+        assert f"--transcript {tmp_path}: is a directory, expected a file" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcc_qkd.attacks import SplitRatio, split_marginal_bob
-from tmcc_qkd.density_ops import hs_distance_sq, weak_distance
+from tmcc_qkd.density_ops import distances, hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import IntensityParam, PhotonDistribution, tmcc_distribution
+
+import oracles
 
 # |1 - 1/I_0(2)| from the 40-digit series oracle
 WEAK_VACUUM_VS_LAMBDA1 = 0.5613237201629512606
@@ -88,3 +90,25 @@ class TestMetricProperties:
         assert weak_distance(a, near) < 1e-14
         assert weak_distance(a, far) >= 1e-14
 
+
+class TestDistancesKernel:
+    """The stacked kernel against the one-pair padded oracle, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 30), st.integers(1, 20), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_padded_oracle(self, seed, rows, short, extra, rows_longer):
+        width, expected_width = (short + extra, short) if rows_longer else (short, short + extra)
+        rnd = np.random.default_rng(seed)
+        raw = rnd.random((rows, width))
+        table = raw / raw.sum(axis=1, keepdims=True)
+        expected = random_matrix(rnd, expected_width)
+        hs, weak = distances(table, expected.probs)
+        want = [(oracles.hs_distance_sq(matrix(row), expected), oracles.weak_distance(matrix(row), expected))
+                for row in table]
+        assert list(zip(hs.tolist(), weak.tolist())) == want
+
+    def test_one_row_forms_equal_padded_oracle(self):
+        lam1 = tmcc_distribution(IntensityParam(1.0))
+        for a, b in ((VACUUM, lam1), (lam1, VACUUM), (TMCC2, lam1), (lam1, TMCC2)):
+            assert hs_distance_sq(a, b) == oracles.hs_distance_sq(a, b)
+            assert weak_distance(a, b) == oracles.weak_distance(a, b)

@@ -24,11 +24,11 @@ from .photon_stats import (
     PhotonDistribution,
     PhotonStatsError,
     _LOG_FACTORIAL,
+    _folded_cdfs,
     _law,
-    _law_table,
-    _poisson_rows,
+    _poisson_laws,
+    _tmcc_laws,
     _tmcc_means,
-    _tmcc_rows,
     tmcc_distribution,
     tmcc_weights,
 )
@@ -178,8 +178,8 @@ def _clone_inner_laws(values: np.ndarray, strategy: CloneStrategy) -> tuple[np.n
     if strategy is CloneStrategy.SINGLE_PHOTON_BANK:
         return (np.arange(values.max() + 1) == values[:, None]).astype(float), values
     if strategy is CloneStrategy.COHERENT:
-        return _law_table(*_poisson_rows(values.astype(float)))
-    return _law_table(*_tmcc_rows(_lambdas_for_means(values)))
+        return _poisson_laws(values.astype(float))
+    return _tmcc_laws(_lambdas_for_means(values))
 
 
 def _clone_inner_law(n: int, strategy: CloneStrategy) -> PhotonDistribution:
@@ -220,10 +220,7 @@ class ClonePulseSampler(PulseSampler):
         k = np.empty_like(n)
         lo = 0
         values = np.flatnonzero(counts)  # a law only for each drawn value
-        table, cutoffs = _clone_inner_laws(values, self.strategy)
-        cdfs = np.cumsum(table, axis=1)
-        cdfs[np.arange(cdfs.shape[1]) >= cutoffs[:, None]] = 1.0  # the tail folded into the last bin
-        for value, cdf in zip(values, cdfs):
+        for value, cdf in zip(values, _folded_cdfs(*_clone_inner_laws(values, self.strategy))):
             hi = lo + counts[value]
             k[order[lo:hi]] = np.searchsorted(cdf, u[lo:hi])
             lo = hi

@@ -307,6 +307,9 @@ def _load_key(path: str, parser) -> protocol.KeyMaterial:
     # any byte other than "0" or "1" wraps to a value above 1
     if (bits > 1).any():
         parser.error(f"key file {path} must contain only 0/1 characters")
+    # a key of 0 bits (1, once its odd bit goes) would reconcile as a MATCH
+    if bits.size < 2:
+        parser.error(f"key file {path} holds {bits.size} bits, need at least 2")
     return protocol.KeyMaterial.from_bits(bits)
 
 

@@ -23,15 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from .density_ops import distances
-from .photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
-from .source import derive_rng, folded_cdf
+from .photon_stats import IntensityParam, _folded_cdfs, _tmcc_laws, tmcc_distribution, tmcc_moments
+from .source import derive_rng
 
 MIN_PULSES = 1000
 # union false-alarm budget of the four statistics
 ALPHA = 0.01
-# hard floor: a mean deficit this large at >= 1e4 pulses is never CLEAN
-_HARD_MEAN_RATIO = 0.75
-_HARD_MEAN_PULSES = 10_000
 # histogram cells drawn per calibration block, bounding its memory
 _CALIBRATION_BLOCK_CELLS = 1 << 16
 
@@ -107,14 +104,14 @@ def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -
     `seed`, taken in blocks of trials; consecutive blocks continue the same
     stream, so the block size does not change the result.
     """
-    analytic = tmcc_distribution(lam)
-    folded = np.diff(folded_cdf(analytic), prepend=0.0)
+    table, cutoffs = _tmcc_laws(np.array([lam.magnitude]))
+    folded = np.diff(_folded_cdfs(table, cutoffs)[0], prepend=0.0)
     rng = derive_rng(seed, 10)
     stats = np.empty((4, trials))
     block = max(1, _CALIBRATION_BLOCK_CELLS // folded.size)
     for start in range(0, trials, block):
         hist = rng.multinomial(pulses, folded, size=min(block, trials - start))
-        stats[:, start : start + len(hist)] = _histogram_statistics(hist, pulses, analytic.probs)
+        stats[:, start : start + len(hist)] = _histogram_statistics(hist, pulses, table[0])
     stats[1] = np.abs(stats[1] - tmcc_moments(lam).mandel_q)
     return stats
 
@@ -185,10 +182,9 @@ def detect(
     if np.any(arr < 0):
         raise ValueError("counts must be >= 0")
     expected = tmcc_distribution(expected_lambda).probs
-    moments = tmcc_moments(expected_lambda)
     stats = _histogram_statistics(np.bincount(arr)[None], arr.size, expected)
     mean, q, hs_val, weak_val = stats[:, 0].tolist()
-    q_dev = abs(q - moments.mandel_q)
+    q_dev = abs(q - tmcc_moments(expected_lambda).mandel_q)
     report_fields = dict(
         empirical_mean=mean,
         empirical_mandel_q=q,
@@ -198,10 +194,7 @@ def detect(
     )
     if arr.size < thresholds.min_pulses:
         return DetectionReport(verdict=DetectionVerdict.INSUFFICIENT_DATA, **report_fields)
-    mean_deficit = mean < thresholds.mean_low or (
-        arr.size >= _HARD_MEAN_PULSES and mean < _HARD_MEAN_RATIO * moments.mean
-    )
-    if mean_deficit:
+    if mean < thresholds.mean_low:
         return DetectionReport(verdict=DetectionVerdict.SUSPECT_SPLIT, **report_fields)
     shape_deviation = (
         mean > thresholds.mean_high

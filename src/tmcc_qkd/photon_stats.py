@@ -162,46 +162,49 @@ _RATIO_DENOMS = {1: _N + 1.0, 2: (_N + 1.0) ** 2}
 _HALVINGS = 45
 
 
-def _cutoffs(weights, scale: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid weights of a stack of rows, as wide as the search ran, and
-    each row's cutoff.
+def _width(scale: np.ndarray, power: int) -> int:
+    """How many grid weights a stack of rows with term ratios
+    w_(n+1)/w_n = scale_i / (n + 1)^power needs for `_law_table` to find
+    every cutoff: the geometric bound above, plus one step of slack for the
+    rounding of the ratio."""
+    start = int(_RATIO_DENOMS[power].searchsorted(2.0 * max(scale.tolist()), side="right"))  # ratios fall with n
+    return min(start + _HALVINGS + 2, _MAX_CUTOFF + 1)
 
-    Row i has the grid weights weights(width)[i] over n < width and the term
-    ratios w_(n+1)/w_n = scale_i / (n + 1)^power.  Its cutoff is the first n
-    where the ratio is below 1/2 (and falling) and the geometric tail bound
-    w_n r_n / (1 - r_n) is below TAIL_EPS.  The weights are first taken only
-    as wide as the bound above provably needs (one step of slack for the
-    rounding of the ratio), and over the whole grid should a row still lack
-    its cutoff there.
+
+def _law_table(w: np.ndarray, scale: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated laws of a stack of rows, and their cutoffs.
+
+    Row i has the grid weights w[i] over n < w.shape[1] and the term ratios
+    scale_i / (n + 1)^power.  Its cutoff is the first n where the ratio is
+    below 1/2 (and falling) and the geometric tail bound w_n r_n / (1 - r_n)
+    is below TAIL_EPS.  Each row is zeroed past its cutoff, and the table is
+    as wide as the largest cutoff needs.
     """
-    denom = _RATIO_DENOMS[power]
-    start = int(denom.searchsorted(2.0 * max(scale.tolist()), side="right"))  # ratios fall with n
-    for width in (min(start + _HALVINGS + 2, _MAX_CUTOFF + 1), _MAX_CUTOFF + 1):
-        w = weights(width)
-        ratio = scale[:, None] / denom[:width]
-        small = ratio < 0.5
-        bound = w * ratio
-        # divided by 1 - r where the ratio is small; elsewhere no n is a hit
-        bound /= np.subtract(1.0, ratio, out=ratio, where=small)
-        hit = small & (bound < TAIL_EPS)
-        if hit.any(axis=1).all():
-            return w, hit.argmax(axis=1)
-    raise CutoffNotFoundError(f"no truncation point found below index {_MAX_CUTOFF}")
-
-
-def _law_table(weights, scale: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated laws of a stack of rows (see `_cutoffs`), and their cutoffs.
-
-    Each row is zeroed past its cutoff, and the table is as wide as the
-    largest cutoff needs.
-    """
-    w, cutoffs = _cutoffs(weights, scale, power)
+    ratio = scale[:, None] / _RATIO_DENOMS[power][: w.shape[1]]
+    small = ratio < 0.5
+    bound = w * ratio
+    # divided by 1 - r where the ratio is small; elsewhere no n is a hit
+    bound /= np.subtract(1.0, ratio, out=ratio, where=small)
+    hit = small & (bound < TAIL_EPS)
+    if not hit.any(axis=1).all():
+        raise CutoffNotFoundError(f"no truncation point found below index {_MAX_CUTOFF}")
+    cutoffs = hit.argmax(axis=1)
     size = cutoffs.max() + 1
-    table = np.where(_N[:size] <= cutoffs[:, None], w[:, :size], 0.0)
+    table = w[:, :size]
+    if len(table) > 1:  # a lone row ends at its cutoff, so only a stack needs zeroing
+        table = np.where(_N[:size] <= cutoffs[:, None], table, 0.0)
     # PhotonDistribution's rule, each row's tail mass being what the row misses
     if not (table.min() >= 0.0 and table.sum(axis=1).max() <= 1.0 + 1e-9):
         raise PhotonStatsError("table rows must be finite, nonnegative and sum to at most 1")
     return table, cutoffs
+
+
+def _folded_cdfs(table: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities of each row of a law stack, with the row's
+    tail folded into its last bin: every entry from the cutoff on is exactly 1."""
+    cdfs = np.cumsum(table, axis=1)
+    cdfs[_N[: cdfs.shape[1]] >= cutoffs[:, None]] = 1.0
+    return cdfs
 
 
 def _law(w: np.ndarray, cutoffs: np.ndarray) -> PhotonDistribution:
@@ -210,59 +213,56 @@ def _law(w: np.ndarray, cutoffs: np.ndarray) -> PhotonDistribution:
     return PhotonDistribution(probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
 
 
-def _tmcc_rows(m: np.ndarray):
-    """TMCC rows for `_cutoffs`, one per magnitude of the 1-d `m`; each row is
+def _tmcc_laws(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated TMCC laws, one row per magnitude of the 1-d `m`; each row is
     normalised over the whole grid by `tmcc_weights`."""
-    w = tmcc_weights(m)
-    return (lambda width: w[:, :width]), m * m, 2
+    scale = m * m
+    return _law_table(tmcc_weights(m)[:, : _width(scale, 2)], scale, 2)
 
 
 def tmcc_distribution(lam: IntensityParam) -> PhotonDistribution:
     """Truncated TMCC counting distribution with tail mass below TAIL_EPS."""
-    return _law(*_cutoffs(*_tmcc_rows(np.array([lam.magnitude]))))
+    return _law(*_tmcc_laws(np.array([lam.magnitude])))
 
 
-def _poisson_rows(means: np.ndarray):
-    """Poisson rows for `_cutoffs`, one per mean of the 1-d `means`."""
+def _poisson_laws(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated Poisson laws, one row per mean of the 1-d `means`."""
     log_mean = []
     for x in means.tolist():
         if not (math.isfinite(x) and x >= 0.0):
             raise PhotonStatsError("mean must be finite and >= 0")
         # math.log per mean: np.log may differ from it in the last bit
         log_mean.append(math.log(x) if x > 0.0 else 0.0)
-
-    def weights(width: int) -> np.ndarray:
-        # log P_n = n log(mean) - mean - log n!, rounded as -mean + n log(mean) - log n!
-        w = np.multiply.outer(log_mean, _N[:width])
-        w -= means[:, None]
-        w -= _LOG_FACTORIAL[:width]
-        np.exp(w, out=w)
-        w[means == 0.0] = _N[:width] == 0
-        return w
-
-    return weights, means, 1
+    width = _width(means, 1)
+    # log P_n = n log(mean) - mean - log n!, rounded as -mean + n log(mean) - log n!
+    w = np.multiply.outer(log_mean, _N[:width])
+    w -= means[:, None]
+    w -= _LOG_FACTORIAL[:width]
+    np.exp(w, out=w)
+    w[means == 0.0] = _N[:width] == 0
+    return _law_table(w, means, 1)
 
 
 def poisson_distribution(mean: float) -> PhotonDistribution:
     """Truncated Poisson distribution; the coherent-beam reference."""
-    return _law(*_cutoffs(*_poisson_rows(np.array([mean], dtype=float))))
+    return _law(*_poisson_laws(np.array([mean], dtype=float)))
 
 
 def _tmcc_moment_arrays(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, variance and Mandel Q for each magnitude > 0 of the 1-d `m`.
+    """Mean, variance and Mandel Q for each magnitude of the 1-d `m`.
 
     The mean is sum_n n P_n over the whole grid, which is
     |lambda| I_1(2|lambda|) / I_0(2|lambda|); <N^2> = |lambda|^2 exactly.
+    Where the mean is 0 (m = 0, or so small that <N> underflows) Q is the
+    vacuum limit 0: the quotient is left at 1 there.
     """
     mean = _tmcc_means(m)
     variance = m * m - mean * mean
-    return mean, variance, variance / mean - 1.0
+    return mean, variance, np.divide(variance, mean, out=np.ones_like(mean), where=mean > 0.0) - 1.0
 
 
 def tmcc_moments(lam: IntensityParam) -> MomentSummary:
     """Mean, second moment, variance and Mandel Q of a TMCC beam."""
     m = lam.magnitude
-    if m == 0.0:
-        return MomentSummary(0.0, 0.0, 0.0, 0.0, degenerate=True)
     mean, variance, q = (float(a[0]) for a in _tmcc_moment_arrays(np.array([m])))
-    return MomentSummary(mean, m * m, variance, q)
+    return MomentSummary(mean, m * m, variance, q, degenerate=mean == 0.0)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .photon_stats import IntensityParam, PhotonDistribution, tmcc_distribution
+from .photon_stats import IntensityParam, _folded_cdfs, _tmcc_laws
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,6 @@ class CorrelationReport(NamedTuple):
     degenerate: bool
 
 
-def folded_cdf(dist: PhotonDistribution) -> np.ndarray:
-    """Cumulative probabilities of `dist` with the residual tail folded into
-    the last bin, so that the last entry is exactly 1."""
-    cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0
-    return cdf
-
-
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Reproducible PCG64 stream; extra path integers split independent
     sub-streams off one master seed."""
@@ -88,8 +80,7 @@ class PulseSampler:
 
     def __init__(self, cfg: SourceConfig):
         self.cfg = cfg
-        self.distribution = tmcc_distribution(cfg.lam)
-        self._cdf = folded_cdf(self.distribution)
+        self._cdf = _folded_cdfs(*_tmcc_laws(np.array([cfg.lam.magnitude])))[0]
         self._rng = derive_rng(cfg.seed, 0)
         self._noise_rng = derive_rng(cfg.seed, 1)
 

@@ -25,7 +25,7 @@ from tmcc_qkd.photon_stats import (
     tmcc_distribution,
     tmcc_weights,
 )
-from tmcc_qkd.source import LOG_HEADER, PulseBatch, folded_cdf
+from tmcc_qkd.source import LOG_HEADER, PulseBatch
 
 # largest n for the series cutoff search, as in the package
 MAX_CUTOFF = 600
@@ -283,6 +283,14 @@ def run_statistics(counts: np.ndarray, expected: PhotonDistribution, expected_q:
     mean = emp.mean()
     q_dev = abs(emp.mandel_q() - expected_q) if mean > 0 else abs(expected_q)
     return mean, q_dev, hs_distance_sq(emp, expected), weak_distance(emp, expected), emp
+
+
+def folded_cdf(dist: PhotonDistribution) -> np.ndarray:
+    """Cumulative probabilities of `dist` with the residual tail folded into
+    the last bin, so that the last entry is exactly 1."""
+    cdf = np.cumsum(dist.probs)
+    cdf[-1] = 1.0
+    return cdf
 
 
 class InverseCdfSampler:

@@ -237,6 +237,14 @@ class TestScenarios:
 
 
 class TestReconcileCli:
+    @pytest.fixture
+    def no_sockets(self, monkeypatch):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        for name in ("socket", "create_server", "create_connection"):
+            monkeypatch.setattr(socket, name, no_socket)
+
     def _exchange(self, tmp_path, key_a: str, key_b: str):
         (tmp_path / "a.key").write_text(key_a + "\n")
         (tmp_path / "b.key").write_text(key_b + "\n")
@@ -285,6 +293,18 @@ class TestReconcileCli:
             run(["reconcile-connect", "--key", str(key), "--peer", "127.0.0.1:1"])
         assert excinfo.value.code == 1
         assert f"cannot read key file {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reconcile-serve", "reconcile-connect"])
+    @pytest.mark.parametrize("text, bits", [("", 0), ("\n", 0), ("1\n", 1)])
+    def test_key_file_under_two_bits_refused_before_any_socket(self, tmp_path, capsys, no_sockets,
+                                                               command, text, bits):
+        key = tmp_path / "a.key"
+        key.write_text(text)
+        address = ["--listen", "127.0.0.1:0"] if command == "reconcile-serve" else ["--peer", "127.0.0.1:1"]
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--key", str(key), *address])
+        assert excinfo.value.code == 1
+        assert f"key file {key} holds {bits} bits, need at least 2" in capsys.readouterr().err
 
     def test_key_over_frame_limit_refused_before_connecting(self, tmp_path, capsys, monkeypatch):
         # the real limit needs a 16.7M-bit key file; a lowered one takes the same path
@@ -364,13 +384,8 @@ class TestReconcileCli:
         assert sent and [line.translate(str.maketrans("<>", "><")) for line in sent] == received
 
     @pytest.mark.parametrize("command", ["reconcile-serve", "reconcile-connect"])
-    def test_transcript_naming_a_directory_refused_before_any_socket(self, tmp_path, capsys, monkeypatch,
+    def test_transcript_naming_a_directory_refused_before_any_socket(self, tmp_path, capsys, no_sockets,
                                                                      command):
-        def no_socket(*args, **kwargs):
-            raise AssertionError("a socket was opened")
-
-        for name in ("socket", "create_server", "create_connection"):
-            monkeypatch.setattr(socket, name, no_socket)
         (tmp_path / "a.key").write_text("1010\n")
         address = ["--listen", "127.0.0.1:0"] if command == "reconcile-serve" else ["--peer", "127.0.0.1:1"]
         with pytest.raises(SystemExit) as excinfo:

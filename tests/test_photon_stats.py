@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcc_qkd.photon_stats import (
+    _LOG_FACTORIAL,
+    _N,
     MAX_LAMBDA,
     CutoffNotFoundError,
     IntensityParam,
     PhotonDistribution,
     PhotonStatsError,
+    _folded_cdfs,
     _law_table,
-    _poisson_rows,
+    _poisson_laws,
+    _tmcc_laws,
     _tmcc_moment_arrays,
-    _tmcc_rows,
     poisson_distribution,
     tmcc_distribution,
     tmcc_moments,
@@ -192,6 +195,12 @@ class TestMoments:
         assert (m.mean, m.second_moment, m.variance, m.mandel_q) == (0.0, 0.0, 0.0, 0.0)
         assert m.degenerate
 
+    def test_underflowed_mean_is_the_vacuum_limit(self):
+        # <N> ~ lambda^2 underflows to 0 here; Q is 0 by continuity, not 0/0
+        m = tmcc_moments(IntensityParam(1e-200))
+        assert (m.mean, m.mandel_q, m.degenerate) == (0.0, 0.0, True)
+        assert _tmcc_moment_arrays(np.array([1e-200, 2.0]))[2][0] == 0.0
+
     def test_second_moment_exact(self):
         assert tmcc_moments(IntensityParam(2.0)).second_moment == 4.0
 
@@ -262,7 +271,7 @@ class TestBatchedKernels:
             tmcc_weights(np.array([1.0, bad, 2.0]))
 
     def test_distributions_equal_single_magnitude_calls(self):
-        table, cutoffs = _law_table(*_tmcc_rows(BATCH_MAGNITUDES))
+        table, cutoffs = _tmcc_laws(BATCH_MAGNITUDES)
         assert table.shape == (BATCH_MAGNITUDES.size, cutoffs.max() + 1)
         for m, row, cutoff in zip(BATCH_MAGNITUDES, table, cutoffs):
             single = tmcc_distribution(IntensityParam(float(m)))
@@ -312,7 +321,7 @@ class TestLawTable:
     """The table kernel against laws cut one at a time over the whole grid."""
 
     def test_poisson_rows_equal_whole_grid_oracle(self):
-        table, cutoffs = _law_table(*_poisson_rows(POISSON_MEANS))
+        table, cutoffs = _poisson_laws(POISSON_MEANS)
         for mean, row, cutoff in zip(POISSON_MEANS, table, cutoffs):
             want = oracles.poisson_law(float(mean))
             single = poisson_distribution(float(mean))
@@ -322,42 +331,51 @@ class TestLawTable:
             assert single.tail_mass == want.tail_mass
 
     def test_table_is_as_wide_as_its_largest_cutoff(self):
-        table, cutoffs = _law_table(*_poisson_rows(np.arange(90.0)))
+        table, cutoffs = _poisson_laws(np.arange(90.0))
         assert table.shape == (90, cutoffs.max() + 1)
         assert table.shape[1] < 601
 
-    def test_falls_back_to_the_whole_grid(self):
+    def test_width_never_cuts_a_law_short(self):
+        # every TMCC law on a dense grid, and every coherent inner law, has the
+        # cutoff on the narrowed width that it has on the whole grid
+        for m in np.array_split(np.linspace(0.0, MAX_LAMBDA, 20_001), 20):
+            want = _law_table(tmcc_weights(m), m * m, 2)
+            np.testing.assert_array_equal(_tmcc_laws(m)[1], want[1])
+        means = np.arange(90.0)
+        log_mean = np.array([0.0] + [math.log(x) for x in means[1:]])
+        whole = np.exp(np.multiply.outer(log_mean, _N) - means[:, None] - _LOG_FACTORIAL)
+        whole[0] = _N == 0
+        np.testing.assert_array_equal(_poisson_laws(means)[1], _law_table(whole, means, 1)[1])
+
+    def test_cutoff_past_the_geometric_width(self):
         # flat weights: the first hit (r/(1-r) below 1e-9) is at n = 100, past
         # the width that the geometric bound gives for a decaying law
-        widths = []
-
-        def weights(width):
-            widths.append(width)
-            return np.full((1, width), 1e-3)
-
-        table, cutoffs = _law_table(weights, np.array([1e-7]), 1)
-        assert widths == [47, 601]
+        table, cutoffs = _law_table(np.full((1, 601), 1e-3), np.array([1e-7]), 1)
         assert cutoffs.tolist() == [100] and table.shape == (1, 101)
+
+    def test_folded_cdfs_equal_oracle(self):
+        for table, cutoffs in (_tmcc_laws(BATCH_MAGNITUDES), _poisson_laws(POISSON_MEANS)):
+            for row, cdf, cutoff in zip(table, _folded_cdfs(table, cutoffs), cutoffs):
+                law = PhotonDistribution(row[: cutoff + 1], tail_mass=max(0.0, 1.0 - float(row.sum())))
+                np.testing.assert_array_equal(cdf[: cutoff + 1], oracles.folded_cdf(law))
+                assert (cdf[cutoff:] == 1.0).all()
 
     def test_no_cutoff_on_the_grid_raises(self):
         with pytest.raises(CutoffNotFoundError):
             poisson_distribution(400.0)
         with pytest.raises(CutoffNotFoundError):
-            _law_table(*_poisson_rows(np.array([1.0, 400.0])))
+            _poisson_laws(np.array([1.0, 400.0]))
 
     def test_nan_weight_refused(self):
-        def weights(width):
-            w = np.array([[math.exp(-2.0) * 2.0**n / math.factorial(n) for n in range(width)]])
-            w[0, 1] = math.nan
-            return w
-
+        w = np.array([[math.exp(-2.0) * 2.0**n / math.factorial(n) for n in range(60)]])
+        w[0, 1] = math.nan
         with pytest.raises(PhotonStatsError, match="finite"):
-            _law_table(weights, np.array([2.0]), 1)
+            _law_table(w, np.array([2.0]), 1)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_mean_in_batch_raises(self, bad):
         with pytest.raises(PhotonStatsError, match="mean must be finite"):
-            _poisson_rows(np.array([1.0, bad]))
+            _poisson_laws(np.array([1.0, bad]))
 
 
 class TestPoisson:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -42,6 +41,7 @@ MAX_PULSES = 100_000_000
 # the largest n_b `detect` accepts from a pulse log: the count histogram has
 # one bin per value up to the largest count, so this bounds it at 8 MiB
 MAX_COUNT = 1 << 20
+MAX_TIMEOUT = 1e9  # --timeout-secs ceiling: a socket refuses 2**63 ns (about 9.2e9 s) or more
 # flag defaults applied after the config file is merged, so that the file can set them
 LATE_DEFAULTS = {"seed": 0, "calibration_trials": 10_000, "timeout_secs": channel.DEFAULT_TIMEOUT}
 
@@ -126,8 +126,8 @@ def _check_pulses(count: int) -> None:
 
 
 def _check_timeout(seconds: float) -> None:
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise ValueError(f"timeout must be a finite number of seconds > 0, got {seconds}")
+    if not 0 < seconds <= MAX_TIMEOUT:  # NaN fails it too
+        raise ValueError(f"timeout must be in (0, {MAX_TIMEOUT:g}] seconds, got {seconds}")
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -187,13 +187,11 @@ def _figure_rows(figure: int, lam: IntensityParam):
         rows = zip(mean.tolist(), variance.tolist(), mean.tolist())  # Poisson variance = mean
         return ["mean_n", "sigma2_tmcc", "sigma2_poisson"], list(rows)
     if figure in (5, 6):
-        original = tmcc_distribution(lam).probs
         ratios = [attacks.SplitRatio.from_p_squared(float(p_sq)) for p_sq in np.linspace(1.0, 0.0, 21)]
-        bobs, _ = attacks._split_marginals(lam, ratios)
-        eves, _ = attacks._split_marginals(lam, [attacks.SplitRatio(r.q, r.p) for r in ratios])
-        hs_bob, weak_bob = distances(bobs, original)
-        hs_eve, _ = distances(eves, original)
-        rows = list(zip([r.p for r in ratios], hs_bob.tolist(), hs_eve.tolist(), weak_bob.tolist()))
+        # Bob's 21 laws, then Eve's; Bob's first (p = 1, no split) is the source law, the reference
+        laws, _ = attacks._split_marginals(lam, ratios + [attacks.SplitRatio(r.q, r.p) for r in ratios])
+        (hs_bob, hs_eve), (weak_bob, _) = (d.reshape(2, -1).tolist() for d in distances(laws, laws[0]))
+        rows = list(zip([r.p for r in ratios], hs_bob, hs_eve, weak_bob))
         return _figure6(rows) if figure == 6 else (["p", "hs_dist_bob", "hs_dist_eve", "weak_dist"], rows)
     raise ValueError(f"unknown figure {figure}")
 

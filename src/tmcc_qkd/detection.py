@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .density_ops import distances
-from .photon_stats import IntensityParam, _folded_cdfs, _tmcc_laws, tmcc_distribution, tmcc_moments
+from .photon_stats import IntensityParam, _folded_cdfs, _tmcc_laws, tmcc_moments
 from .source import derive_rng
 
 MIN_PULSES = 1000
@@ -96,6 +96,14 @@ def _histogram_statistics(hist: np.ndarray, pulses: int, expected: np.ndarray) -
     return np.array((mean, np.where(positive, q, 0.0), *distances(counts, expected)))
 
 
+def _clean_law(lam: IntensityParam) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bob's clean law at source `lam` (what every run is compared against), that law with
+    its tail folded into its last bin (what a clean run draws from), and its Mandel Q."""
+    table, cutoffs = _tmcc_laws(np.array([lam.magnitude]))
+    folded = np.diff(_folded_cdfs(table, cutoffs)[0], prepend=0.0)
+    return table[0], folded, tmcc_moments(lam).mandel_q
+
+
 def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -> np.ndarray:
     """Mean, Mandel-Q deviation, HS^2 and weak distance (rows) of `trials`
     clean runs of `pulses` pulses each (columns).
@@ -104,15 +112,14 @@ def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -
     `seed`, taken in blocks of trials; consecutive blocks continue the same
     stream, so the block size does not change the result.
     """
-    table, cutoffs = _tmcc_laws(np.array([lam.magnitude]))
-    folded = np.diff(_folded_cdfs(table, cutoffs)[0], prepend=0.0)
+    expected, folded, expected_q = _clean_law(lam)
     rng = derive_rng(seed, 10)
     stats = np.empty((4, trials))
     block = max(1, _CALIBRATION_BLOCK_CELLS // folded.size)
     for start in range(0, trials, block):
         hist = rng.multinomial(pulses, folded, size=min(block, trials - start))
-        stats[:, start : start + len(hist)] = _histogram_statistics(hist, pulses, table[0])
-    stats[1] = np.abs(stats[1] - tmcc_moments(lam).mandel_q)
+        stats[:, start : start + len(hist)] = _histogram_statistics(hist, pulses, expected)
+    stats[1] = np.abs(stats[1] - expected_q)
     return stats
 
 
@@ -181,27 +188,18 @@ def detect(
         raise ValueError("counts must be nonempty")
     if np.any(arr < 0):
         raise ValueError("counts must be >= 0")
-    expected = tmcc_distribution(expected_lambda).probs
+    expected, _, expected_q = _clean_law(expected_lambda)
     stats = _histogram_statistics(np.bincount(arr)[None], arr.size, expected)
     mean, q, hs_val, weak_val = stats[:, 0].tolist()
-    q_dev = abs(q - tmcc_moments(expected_lambda).mandel_q)
-    report_fields = dict(
-        empirical_mean=mean,
-        empirical_mandel_q=q,
-        hs_dist_sq=hs_val,
-        weak_dist=weak_val,
-        pulse_count=int(arr.size),
-    )
     if arr.size < thresholds.min_pulses:
-        return DetectionReport(verdict=DetectionVerdict.INSUFFICIENT_DATA, **report_fields)
-    if mean < thresholds.mean_low:
-        return DetectionReport(verdict=DetectionVerdict.SUSPECT_SPLIT, **report_fields)
-    shape_deviation = (
-        mean > thresholds.mean_high
-        or q_dev > thresholds.mandel_q_dev_max
-        or hs_val > thresholds.hs_dist_sq_max
-        or weak_val > thresholds.weak_dist_max
-    )
-    if shape_deviation:
-        return DetectionReport(verdict=DetectionVerdict.SUSPECT_CLONE, **report_fields)
-    return DetectionReport(verdict=DetectionVerdict.CLEAN, **report_fields)
+        verdict = DetectionVerdict.INSUFFICIENT_DATA
+    elif mean < thresholds.mean_low:
+        verdict = DetectionVerdict.SUSPECT_SPLIT
+    elif (
+        mean > thresholds.mean_high or abs(q - expected_q) > thresholds.mandel_q_dev_max
+        or hs_val > thresholds.hs_dist_sq_max or weak_val > thresholds.weak_dist_max
+    ):
+        verdict = DetectionVerdict.SUSPECT_CLONE
+    else:
+        verdict = DetectionVerdict.CLEAN
+    return DetectionReport(mean, q, hs_val, weak_val, verdict, int(arr.size))

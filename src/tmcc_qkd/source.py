@@ -157,12 +157,12 @@ def write_pulse_log(path, batch: PulseBatch) -> None:
             fh.write(text[:rows][keep[:rows]])
 
 
-def _read_rows(text: bytes, out: np.ndarray) -> tuple[int, int | None]:
+def _read_rows(text: bytes, out: np.ndarray) -> tuple[int, bool]:
     """Parse LF-terminated lines of six counts into the five count columns of
     `out`; pulse_index is checked but not parsed.
 
-    Returns the number of rows and None, or, if some line is not six tokens
-    of 1-18 digits, 0 and the index of the first such line.
+    Returns how many lines lead that are rows (six tokens of 1-18 digits,
+    the noise flags 0 or 1), and whether a line that is not one follows them.
     """
     a = np.frombuffer(text, np.uint8)
     cr = a == ord("\r")
@@ -188,7 +188,9 @@ def _read_rows(text: bytes, out: np.ndarray) -> tuple[int, int | None]:
                 np.flatnonzero(a > ord("9"))[:1],
             )
         )
-        return 0, int(np.count_nonzero(a[: bad.min()] == ord("\n")))
+        line = int(np.count_nonzero(a[: bad.min()] == ord("\n")))
+        # the lines before it are well formed, but a noise flag above 1 among them comes first
+        return (_read_rows(a[: sep[6 * line - 1] + 1].tobytes(), out)[0] if line else 0), True
     ends = sep.reshape(rows, 6)
     for k in range(1, 6):
         end = ends[:, k]
@@ -197,15 +199,17 @@ def _read_rows(text: bytes, out: np.ndarray) -> tuple[int, int | None]:
         for j in range(2, width.max()):  # the j-th digit from the right, where there is one
             value += np.where(width > j, a.take(end - j, mode="clip") - ord("0"), 0) * _POW10[j - 1]
         out[:rows, k - 1] = value
-    return rows, None
+    if out[:rows, 3:].max() > 1:  # one reduction for a valid block
+        return int(np.flatnonzero(out[:rows, 3:] > 1)[0] // 2), True
+    return rows, False
 
 
 def read_pulse_log(path) -> PulseBatch:
     """Read a log written by `write_pulse_log`; LF line ends are accepted too.
 
-    Raises ValueError naming the file and line of the first line that is
-    not the header or a row of six counts >= 0, or naming the file if it is
-    not ASCII text.
+    Raises ValueError naming the file and line of the first line that is not
+    the header or a row of six counts >= 0 with noise flags 0 or 1, or naming
+    the file if it is not ASCII text.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -229,10 +233,10 @@ def read_pulse_log(path) -> PulseBatch:
         end = data.find(b"\n", start + _LOG_READ_BYTES, stop) + 1 or stop + 1
         block = data[start:end] if end <= stop else data[start:stop] + b"\n"
         rows, bad = _read_rows(block, counts[row:])
-        if bad is not None:
-            line = block.split(b"\n")[bad].rstrip(b"\r").decode()
+        if bad:
+            line = block.split(b"\n")[rows].rstrip(b"\r").decode()
             raise ValueError(
-                f"{path}, line {row + bad + 2}: expected 6 comma-separated counts >= 0, got {line!r}"
+                f"{path}, line {row + rows + 2}: expected 6 comma-separated counts >= 0, got {line!r}"
             )
         row, start = row + rows, end
     n_a, n_b, n_e, noise_a, noise_b = counts.T

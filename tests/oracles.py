@@ -320,7 +320,7 @@ class PerValueClonePulseSampler(ClonePulseSampler):
 
 
 _LOG_ROW = ",".join(["%d"] * 6) + "\r\n"
-_LOG_BAD_LINE = re.compile(r"^(?![0-9]{1,18}(?:,[0-9]{1,18}){5}\r?$)", re.MULTILINE)
+_LOG_BAD_LINE = re.compile(r"^(?![0-9]{1,18}(?:,[0-9]{1,18}){3}(?:,0{0,17}[01]){2}\r?$)", re.MULTILINE)
 _LOG_BLOCK = 1 << 14
 
 

@@ -326,6 +326,8 @@ class TestReconcileCli:
             (["reconcile-connect", "--peer", "127.0.0.1:1", "--timeout-secs", "0"], "--timeout-secs"),
             (["reconcile-connect", "--peer", "127.0.0.1:1", "--timeout-secs", "nan"], "--timeout-secs"),
             (["reconcile-serve", "--listen", "127.0.0.1:0", "--timeout-secs", "inf"], "--timeout-secs"),
+            (["reconcile-serve", "--listen", "127.0.0.1:0", "--timeout-secs", "1e10"], "--timeout-secs"),
+            (["reconcile-connect", "--peer", "127.0.0.1:1", "--timeout-secs", "1e300"], "--timeout-secs"),
         ],
     )
     def test_bad_address_or_timeout_is_usage_error(self, tmp_path, capsys, argv, flag):
@@ -435,6 +437,17 @@ class TestConfigFile:
             run(["--config", str(cfg), "attack-split", "--lambda", "2", "--out", str(tmp_path / "sw.csv")])
         assert excinfo.value.code == 1
         assert "'sweep' must be true or false" in capsys.readouterr().err
+
+    def test_config_timeout_above_ceiling(self, tmp_path, capsys):
+        # a socket refuses a timeout of 2**63 ns or more; the file's value meets the flag's ceiling first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"timeout-secs": 1e300}')
+        (tmp_path / "a.key").write_text("1010\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", str(cfg), "reconcile-connect", "--key", str(tmp_path / "a.key"),
+                 "--peer", "127.0.0.1:1"])
+        assert excinfo.value.code == 1
+        assert "invalid value 1e+300 for 'timeout-secs'" in capsys.readouterr().err
 
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -140,7 +140,10 @@ class TestPulseLog:
 
     @pytest.mark.parametrize(
         "row",
-        ["0,1,x,0,0,0", "0,1,2,0,0", "0,1,-2,0,0,0", "0,1,2,0,0,0,7", "", "0,1,2.5,0,0,0"],
+        [
+            "0,1,x,0,0,0", "0,1,2,0,0", "0,1,-2,0,0,0", "0,1,2,0,0,0,7", "", "0,1,2.5,0,0,0",
+            "0,1,2,0,2,0", "0,1,2,0,0,7",  # a noise flag is 0 or 1
+        ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "pulses.csv"
@@ -258,6 +261,8 @@ class TestPulseLogCodec:
             pytest.param(lambda d: replace_line(d, 5, b"4," + b"1" * 19 + b",1,1,0,0"), id="19-digit-token"),
             pytest.param(lambda d: replace_line(d, 1, b"1" * 19 + b",1,1,0,0,0"), id="19-digit-first-token"),
             pytest.param(lambda d: replace_line(d, 19_000, b"18999,2,2,0,x,0"), id="later-read-block"),
+            pytest.param(lambda d: replace_line(replace_line(d, 3, b"2,1,1,0,0,10"), 6, b"x"), id="flag-first"),
+            pytest.param(lambda d: replace_line(d, 4, b"3,1,1,0,00000000000000001,0"), id="flag-zeros"),
             pytest.param(lambda d: d + b"\r\n\r\n", id="trailing-blank-lines"),
             pytest.param(lambda d: d[: d.index(b"\n") + 1], id="header-only"),
         ],

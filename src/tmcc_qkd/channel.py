@@ -126,11 +126,11 @@ def _recv_exact(transport, n: int) -> bytes:
 def read_frame(transport, transcript: Optional[Transcript] = None) -> Frame:
     header = _recv_exact(transport, HEADER.size)
     # validate before reading, so a bad or oversized header reads no payload
-    _, length = _parse_header(header)
+    msg_type, length = _parse_header(header)
     raw = header + _recv_exact(transport, length)
     if transcript is not None:
         transcript.record("<", raw)
-    return decode_frame(raw)
+    return Frame(msg_type, raw[HEADER.size :])
 
 
 def send_frame(transport, frame: Frame, transcript: Optional[Transcript] = None) -> None:

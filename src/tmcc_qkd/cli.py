@@ -43,7 +43,7 @@ MAX_PULSES = 100_000_000
 MAX_COUNT = 1 << 20
 MAX_TIMEOUT = 1e9  # --timeout-secs ceiling: a socket refuses 2**63 ns (about 9.2e9 s) or more
 # flag defaults applied after the config file is merged, so that the file can set them
-LATE_DEFAULTS = {"seed": 0, "calibration_trials": 10_000, "timeout_secs": channel.DEFAULT_TIMEOUT}
+LATE_DEFAULTS = {"seed": 0, "timeout_secs": channel.DEFAULT_TIMEOUT}
 
 
 def _fmt(x: float) -> str:
@@ -117,7 +117,6 @@ _LAMBDA = _checked(float, IntensityParam)
 _EPSILON = _checked(float, lambda eps: SourceConfig(_VACUUM, noise_epsilon=eps))
 _SEED = _checked(int, lambda seed: SourceConfig(_VACUUM, seed=seed))
 _SPLIT_P2 = _checked(float, attacks.SplitRatio.from_p_squared)
-_TRIALS = _checked(int, detection.check_trials)
 
 
 def _check_pulses(count: int) -> None:
@@ -219,26 +218,19 @@ def cmd_figures(args, parser) -> int:
     return EXIT_OK
 
 
-def _run_scenario(args, parser, sampler, outdir: Path, lam: IntensityParam) -> int:
+def _run_scenario(args, sampler, outdir: Path) -> int:
     batch = sampler.sample_batch(args.pulses)
     write_pulse_log(outdir / "pulses.csv", batch)
-    threshold = protocol.ErrorModel(lam, sampler.cfg.noise_epsilon).threshold
+    threshold = protocol.ErrorModel(sampler.cfg.lam, sampler.cfg.noise_epsilon).threshold
     alice, bob = protocol.extract_keys(batch, threshold)
     (outdir / "alice.key").write_text(alice.to_bitstring() + "\n")
     (outdir / "bob.key").write_text(bob.to_bitstring() + "\n")
-    return _report(args, lam, batch.n_b, outdir / "report.txt")
+    return _report(args, sampler.cfg.lam, batch.n_b, outdir / "report.txt")
 
 
 def _report(args, lam: IntensityParam, counts: np.ndarray, out: Path | None) -> int:
-    """Detection report on Bob's counts, to stdout and to `out` if given.
-
-    Calibration uses at least MIN_PULSES pulses: below that the verdict is
-    INSUFFICIENT_DATA whatever the thresholds.
-    """
-    thresholds = detection.calibrate_thresholds(
-        lam, pulses=max(len(counts), detection.MIN_PULSES),
-        trials=args.calibration_trials, seed=args.seed + 1,
-    )
+    """Detection report on Bob's counts, to stdout and to `out` if given."""
+    thresholds = detection.calibrate_thresholds(lam, len(counts), seed=args.seed + 1)
     text = detection.detect(counts, lam, thresholds).to_text()
     if out is not None:
         out.write_text(text)
@@ -251,12 +243,12 @@ def _scenario_args(args, parser):
     if args.pulses is None:
         parser.error("--pulses is required for this command")
     cfg = SourceConfig(lam, noise_epsilon=args.epsilon or 0.0, seed=args.seed)
-    return lam, cfg, _out_path(args, parser, directory=True)
+    return cfg, _out_path(args, parser, directory=True)
 
 
 def cmd_simulate(args, parser) -> int:
-    lam, cfg, outdir = _scenario_args(args, parser)
-    return _run_scenario(args, parser, PulseSampler(cfg), outdir, lam)
+    cfg, outdir = _scenario_args(args, parser)
+    return _run_scenario(args, PulseSampler(cfg), outdir)
 
 
 def cmd_attack_split(args, parser) -> int:
@@ -270,15 +262,15 @@ def cmd_attack_split(args, parser) -> int:
         return EXIT_OK
     if args.split_p2 is None:
         parser.error("--split-p2 is required without --sweep")
-    lam, cfg, outdir = _scenario_args(args, parser)
+    cfg, outdir = _scenario_args(args, parser)
     r = attacks.SplitRatio.from_p_squared(args.split_p2)
-    return _run_scenario(args, parser, attacks.SplitPulseSampler(cfg, r), outdir, lam)
+    return _run_scenario(args, attacks.SplitPulseSampler(cfg, r), outdir)
 
 
 def cmd_attack_clone(args, parser) -> int:
-    lam, cfg, outdir = _scenario_args(args, parser)
+    cfg, outdir = _scenario_args(args, parser)
     strategy = attacks.CloneStrategy(args.clone_strategy or "tmcc-clone")
-    return _run_scenario(args, parser, attacks.ClonePulseSampler(cfg, strategy), outdir, lam)
+    return _run_scenario(args, attacks.ClonePulseSampler(cfg, strategy), outdir)
 
 
 def cmd_detect(args, parser) -> int:
@@ -329,6 +321,8 @@ def _reconcile(args, parser, exchange, address) -> int:
         verdict = exchange(*address, key, args.timeout_secs, transcript)
     except channel.KeySizeError as exc:  # raised for the initiator's key only
         parser.error(f"key file {args.key}: {exc}")
+    except OSError as exc:  # serve's bind or address lookup: connect turns its socket errors into ABORT
+        parser.error(f"--listen {address[0]}:{address[1]}: cannot bind: {exc}")
     if path is not None:
         transcript.dump_hex(path)
     print(f"verdict={verdict.value}")
@@ -371,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         if run:
             p.add_argument("--epsilon", type=_EPSILON, default=None)
             p.add_argument("--seed", type=_SEED, default=None)
-            p.add_argument("--calibration-trials", type=_TRIALS, default=None)
         if pulses:
             p.add_argument("--pulses", type=_PULSES, default=None)
 

@@ -29,6 +29,8 @@ from .source import derive_rng
 MIN_PULSES = 1000
 # union false-alarm budget of the four statistics
 ALPHA = 0.01
+# clean runs drawn per calibration: alpha/8 of them, a dozen runs, lie beyond each mean threshold
+CALIBRATION_TRIALS = 10_000
 # histogram cells drawn per calibration block, bounding its memory
 _CALIBRATION_BLOCK_CELLS = 1 << 16
 
@@ -49,7 +51,6 @@ class DetectionThresholds:
     mandel_q_dev_max: float
     hs_dist_sq_max: float
     weak_dist_max: float
-    min_pulses: int = MIN_PULSES
     alpha: float = ALPHA
     calibration_seed: int = 0
     calibration_trials: int = 0
@@ -123,12 +124,6 @@ def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -
     return stats
 
 
-def check_trials(trials: int) -> None:
-    """Refuse a calibration with fewer than 100 clean trials."""
-    if trials < 100:
-        raise ValueError("need at least 100 calibration trials")
-
-
 def _quantile(ascending: np.ndarray, q: float) -> float:
     """np.quantile(values, q) read off the sorted values.
 
@@ -144,10 +139,8 @@ def _quantile(ascending: np.ndarray, q: float) -> float:
     return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
-def calibrate_thresholds(
-    lam: IntensityParam, pulses: int, trials: int = 10_000, seed: int = 0
-) -> DetectionThresholds:
-    """Set thresholds from the clean-run Monte Carlo null distribution.
+def calibrate_thresholds(lam: IntensityParam, pulses: int, seed: int = 0) -> DetectionThresholds:
+    """Set thresholds from CALIBRATION_TRIALS clean runs of `pulses` pulses.
 
     A clean run of `pulses` iid draws from the TMCC law, with the tail
     folded into the last bin, has a histogram distributed exactly as
@@ -159,10 +152,9 @@ def calibrate_thresholds(
     of the two-sided mean check, the Mandel deviation, and the two
     distances, so the union false-alarm rate stays at or below ALPHA.
     """
-    check_trials(trials)
     if pulses < 1:
         raise ValueError("need at least 1 calibration pulse")
-    means, q_devs, hs_vals, weak_vals = np.sort(_null_statistics(lam, pulses, trials, seed), axis=1)
+    means, q_devs, hs_vals, weak_vals = np.sort(_null_statistics(lam, pulses, CALIBRATION_TRIALS, seed), axis=1)
     per_stat = ALPHA / 4.0
     return DetectionThresholds(
         mean_low=_quantile(means, per_stat / 2.0),
@@ -170,9 +162,8 @@ def calibrate_thresholds(
         mandel_q_dev_max=_quantile(q_devs, 1.0 - per_stat),
         hs_dist_sq_max=_quantile(hs_vals, 1.0 - per_stat),
         weak_dist_max=_quantile(weak_vals, 1.0 - per_stat),
-        min_pulses=MIN_PULSES,
         calibration_seed=seed,
-        calibration_trials=trials,
+        calibration_trials=CALIBRATION_TRIALS,
         calibration_pulses=pulses,
     )
 
@@ -191,7 +182,7 @@ def detect(
     expected, _, expected_q = _clean_law(expected_lambda)
     stats = _histogram_statistics(np.bincount(arr)[None], arr.size, expected)
     mean, q, hs_val, weak_val = stats[:, 0].tolist()
-    if arr.size < thresholds.min_pulses:
+    if arr.size < MIN_PULSES:
         verdict = DetectionVerdict.INSUFFICIENT_DATA
     elif mean < thresholds.mean_low:
         verdict = DetectionVerdict.SUSPECT_SPLIT

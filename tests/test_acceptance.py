@@ -122,7 +122,7 @@ def test_criterion_9_cloning_detectability():
     assert weak_distance(cloned, original) > 1e-4
     assert abs(cloned.mandel_q() - tmcc_moments(LAM2).mandel_q) > 1e-3
 
-    thresholds = detection.calibrate_thresholds(LAM2, pulses=10_000, trials=1000, seed=424242)
+    thresholds = detection.calibrate_thresholds(LAM2, pulses=10_000, seed=424242)
     flagged = 0
     for trial in range(100):
         sampler = ClonePulseSampler(SourceConfig(LAM2, seed=50_000 + trial), CloneStrategy.TMCC_CLONE)
@@ -234,8 +234,7 @@ def test_criterion_11_reconciliation():
 
 
 def test_criterion_12_determinism(tmp_path):
-    args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "5000",
-            "--seed", "314159", "--calibration-trials", "100"]
+    args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "5000", "--seed", "314159"]
     assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
     for name in ("pulses.csv", "alice.key", "bob.key", "report.txt"):

@@ -1,6 +1,9 @@
+import argparse
+import re
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +77,7 @@ class TestScenarios:
         out = tmp_path / "run"
         code = run(
             ["simulate", "--lambda", "2", "--epsilon", "0", "--pulses", "4000",
-             "--seed", "7", "--out", str(out), "--calibration-trials", "100"]
+             "--seed", "7", "--out", str(out)]
         )
         assert code == 0
         assert (out / "alice.key").read_bytes() == (out / "bob.key").read_bytes()
@@ -92,24 +95,21 @@ class TestScenarios:
         out = tmp_path / "clone"
         code = run(
             ["attack-clone", "--lambda", "2", "--pulses", "10000", "--seed", "3",
-             "--clone-strategy", "tmcc-clone", "--out", str(out), "--calibration-trials", "200"]
+             "--clone-strategy", "tmcc-clone", "--out", str(out)]
         )
         assert code == 0
         assert "verdict=suspect-clone" in (out / "report.txt").read_text()
 
     def test_detect_from_pulse_log(self, tmp_path):
         out = tmp_path / "run"
-        run(["simulate", "--lambda", "2", "--pulses", "4000", "--seed", "7",
-             "--out", str(out), "--calibration-trials", "100"])
+        run(["simulate", "--lambda", "2", "--pulses", "4000", "--seed", "7", "--out", str(out)])
         report = tmp_path / "detect.txt"
-        code = run(["detect", "--lambda", "2", "--pulse-log", str(out / "pulses.csv"),
-                    "--out", str(report), "--calibration-trials", "100"])
+        code = run(["detect", "--lambda", "2", "--pulse-log", str(out / "pulses.csv"), "--out", str(report)])
         assert code == 0
         assert "verdict=clean" in report.read_text()
 
     def test_determinism_byte_identical(self, tmp_path):
-        args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "3000",
-                "--seed", "99", "--calibration-trials", "100"]
+        args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "3000", "--seed", "99"]
         run(args + ["--out", str(tmp_path / "a")])
         run(args + ["--out", str(tmp_path / "b")])
         for name in ("pulses.csv", "alice.key", "bob.key", "report.txt"):
@@ -122,7 +122,7 @@ class TestScenarios:
         log = tmp_path / "pulses.csv"
         log.write_text("pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n" + row + "\n")
         with pytest.raises(SystemExit) as excinfo:
-            run(["detect", "--lambda", "2", "--pulse-log", str(log), "--calibration-trials", "100"])
+            run(["detect", "--lambda", "2", "--pulse-log", str(log)])
         assert excinfo.value.code == 1
         assert f"{log}, line 3" in capsys.readouterr().err
 
@@ -139,7 +139,7 @@ class TestScenarios:
         log = tmp_path / "pulses.csv"
         log.write_text(f"pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n1,1,{count},0,0,0\n")
         with pytest.raises(SystemExit) as excinfo:
-            run(["detect", "--lambda", "2", "--pulse-log", str(log), "--calibration-trials", "100"])
+            run(["detect", "--lambda", "2", "--pulse-log", str(log)])
         assert excinfo.value.code == 1
         assert f"{log}, line 3: n_b {count} exceeds the ceiling {cli.MAX_COUNT}" in capsys.readouterr().err
 
@@ -154,7 +154,7 @@ class TestScenarios:
         if command == "detect":
             log = tmp_path / "pulses.csv"
             log.write_text("pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n1,2,2,0,0,0\n")
-            return ["detect", "--lambda", "2", "--pulse-log", str(log), "--calibration-trials", "100"]
+            return ["detect", "--lambda", "2", "--pulse-log", str(log)]
         if command == "stats":
             return ["stats", "--lambda", "2"]
         return ["attack-split", "--lambda", "2", "--sweep"]
@@ -202,8 +202,6 @@ class TestScenarios:
             (["simulate", "--lambda", "2", "--pulses", "100", "--epsilon", "0.7"], "--epsilon"),
             (["simulate", "--lambda", "2", "--pulses", "100", "--seed", "-1"], "--seed"),
             (["attack-split", "--lambda", "2", "--pulses", "100", "--split-p2", "1.5"], "--split-p2"),
-            (["simulate", "--lambda", "2", "--pulses", "100", "--calibration-trials", "0"],
-             "--calibration-trials"),
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
@@ -212,6 +210,22 @@ class TestScenarios:
         assert excinfo.value.code == 1
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_calibration_trials_refused(self, tmp_path, capsys, via_config):
+        # calibration always draws detection.CALIBRATION_TRIALS clean runs; no flag or key sets it
+        argv = ["simulate", "--lambda", "2", "--pulses", "100", "--out", str(tmp_path / "out")]
+        if via_config:
+            (tmp_path / "cfg.json").write_text('{"calibration-trials": 100}')
+            argv = ["--config", str(tmp_path / "cfg.json")] + argv
+        else:
+            argv += ["--calibration-trials", "100"]
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert ("unknown key 'calibration-trials'" if via_config
+                else "unrecognized arguments: --calibration-trials 100") in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("pulses", ["100000000000", str(cli.MAX_PULSES + 1), "1"])
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
@@ -339,6 +353,18 @@ class TestReconcileCli:
         assert f"argument {flag}:" in err
         assert "key file" not in err
 
+    def test_listen_address_in_use_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "b.key").write_text("1010\n")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = f"127.0.0.1:{listener.getsockname()[1]}"
+            with pytest.raises(SystemExit) as excinfo:
+                run(["reconcile-serve", "--key", str(tmp_path / "b.key"), "--listen", address,
+                     "--timeout-secs", "1"])
+        assert excinfo.value.code == 1
+        out, err = capsys.readouterr()
+        assert f"--listen {address}: cannot bind: [Errno" in err
+        assert "verdict=" not in out
+
     def test_transcript_written(self, tmp_path):
         (tmp_path / "a.key").write_text("1011\n")
         (tmp_path / "b.key").write_text("1011\n")
@@ -408,8 +434,7 @@ class TestConfigFile:
     def test_config_seed_applies(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 7}')
-        args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "2000",
-                "--calibration-trials", "100"]
+        args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "2000"]
         assert run(["--config", str(cfg), *args, "--out", str(tmp_path / "cfg")]) == 0
         assert run([*args, "--seed", "7", "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "cfg" / "pulses.csv").read_bytes() == (tmp_path / "flag" / "pulses.csv").read_bytes()
@@ -482,16 +507,27 @@ class TestParserReuse:
         cfg = tmp_path / "cfg.json"
         if kind == "seed":  # a run with a config file, then one without
             cfg.write_text('{"seed": 7}')
-            args = ["simulate", "--lambda", "2", "--pulses", "500", "--calibration-trials", "100"]
+            args = ["simulate", "--lambda", "2", "--pulses", "500"]
             runs = [["--config", str(cfg), *args], args]
         else:  # a config-file --sweep, then a scenario run
             cfg.write_text('{"sweep": true}')
             runs = [
                 ["--config", str(cfg), "attack-split", "--lambda", "2"],
-                ["attack-split", "--lambda", "2", "--split-p2", "0.5", "--pulses", "500",
-                 "--calibration-trials", "100"],
+                ["attack-split", "--lambda", "2", "--split-p2", "0.5", "--pulses", "500"],
             ]
         reused = self._outputs(tmp_path, runs, fresh=False)
         assert reused == self._outputs(tmp_path, runs, fresh=True)
         first, second = reused
         assert first != second
+
+
+def test_readme_cli_flags_exist():
+    # every --flag the README names from its CLI section on is an option of tmcc-qkd or a subcommand
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme[readme.index("\n## CLI\n"):]))
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        flag for p in (parser, *commands.choices.values()) for a in p._actions for flag in a.option_strings
+    }
+    assert named and named <= options, sorted(named - options)

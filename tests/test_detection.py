@@ -27,7 +27,7 @@ LOOSE = DetectionThresholds(
 
 @pytest.fixture(scope="module")
 def thresholds():
-    return calibrate_thresholds(LAM2, pulses=10_000, trials=1000, seed=2024)
+    return calibrate_thresholds(LAM2, pulses=10_000, seed=2024)
 
 
 def clean_counts(seed, pulses=10_000):
@@ -70,7 +70,7 @@ class TestEmpiricalDistribution:
 class TestCalibration:
     def test_provenance_recorded(self, thresholds):
         assert thresholds.calibration_seed == 2024
-        assert thresholds.calibration_trials == 1000
+        assert thresholds.calibration_trials == detection.CALIBRATION_TRIALS == 10_000
         assert thresholds.calibration_pulses == 10_000
         assert thresholds.alpha == 0.01
 
@@ -80,16 +80,12 @@ class TestCalibration:
         assert thresholds.hs_dist_sq_max > 0
         assert thresholds.weak_dist_max > 0
 
-    def test_too_few_trials_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_thresholds(LAM2, pulses=1000, trials=10)
-
     def test_no_pulses_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_thresholds(LAM2, pulses=0, trials=100)
+            calibrate_thresholds(LAM2, pulses=0)
 
     def test_default_trials_resolve_the_mean_quantile(self):
-        # alpha/8 of the default trials is a dozen runs below mean_low, not none
+        # alpha/8 of the fixed calibration trials is a dozen runs below mean_low, not none
         th = calibrate_thresholds(LAM2, pulses=10_000, seed=5)
         means = _null_statistics(LAM2, 10_000, th.calibration_trials, 5)[0]
         assert th.calibration_trials == 10_000
@@ -97,8 +93,8 @@ class TestCalibration:
         assert 5 <= (means > th.mean_high).sum() <= 20
 
     def test_thresholds_equal_numpy_quantiles(self):
-        th = calibrate_thresholds(LAM2, pulses=5_000, trials=2_000, seed=9)
-        means, q_devs, hs_vals, weak_vals = _null_statistics(LAM2, 5_000, 2_000, 9)
+        th = calibrate_thresholds(LAM2, pulses=5_000, seed=9)
+        means, q_devs, hs_vals, weak_vals = _null_statistics(LAM2, 5_000, th.calibration_trials, 9)
         per_stat = th.alpha / 4.0
         want = [
             np.quantile(means, per_stat / 2.0),

@@ -117,6 +117,21 @@ def test_fixed_seed_outputs_match_saved_digests(tmp_path, capsys):
     assert golden_digests(tmp_path) == GOLDEN
 
 
+# a run below detection.MIN_PULSES reads insufficient-data and prints only its own statistics;
+# recorded when calibration was still floored at MIN_PULSES pulses, not at the run's own count
+BELOW_FLOOR_REPORT = "16e2ef3aa4c58948e21223a61c133376cacdea7fbf213638bb9f92a6dff3c928"
+
+
+def test_below_floor_reports_match_saved_digest(tmp_path, capsys):
+    sim = tmp_path / "simulate"
+    assert cli.main(["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "500", "--seed", "2718",
+                     "--out", str(sim)]) == 0
+    report = tmp_path / "detect.txt"
+    assert cli.main(["detect", "--lambda", "2", "--seed", "2718", "--out", str(report),
+                     "--pulse-log", str(sim / "pulses.csv")]) == 0
+    assert [_sha(path.read_bytes()) for path in (sim / "report.txt", report)] == [BELOW_FLOOR_REPORT] * 2
+
+
 # figure CSVs, split sweeps, clone matrices and the clone-ceiling error text,
 # recorded before the analytic sweeps were batched over their grids
 ANALYTIC_GOLDEN = {

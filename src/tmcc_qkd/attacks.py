@@ -83,6 +83,7 @@ def _split_marginals(lam: IntensityParam, ratios: list[SplitRatio]) -> tuple[np.
     n = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)[:, None]
     j = n - k  # photons toward Eve
     log_c = _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[abs(j)]
+    log_c[j < 0] = -np.inf  # k > n: stays -inf through the finite terms added below
     for i, r in enumerate(ratios):
         if r.q == 0.0 or m == 0.0:
             table[i] = source
@@ -92,7 +93,6 @@ def _split_marginals(lam: IntensityParam, ratios: list[SplitRatio]) -> tuple[np.
             # log B = log C(n, k) + k log p^2 + j log q^2, summed in that order
             log_b = log_c + k * math.log(r.p**2)
             log_b += j * math.log(r.q**2)
-            log_b[j < 0] = -np.inf
             table[i] = w[: n.size] @ np.exp(log_b, out=log_b)
     return table, cutoffs
 

@@ -35,9 +35,11 @@ EXIT_ABORT = 3
 EXIT_INTERNAL = 4
 
 CONFIG_ENV = "TMCC_QKD_CONFIG"
-# at their peaks a scenario holds about 35 bytes per pulse and `detect` about
-# 60, so 1e8 pulses need about 6 GB; larger counts are refused at parse time
-MAX_PULSES = 100_000_000
+# one key bit per pulse, so every key file a scenario writes fits the XOR
+# code's one frame; at their peaks a scenario holds about 35 bytes per pulse
+# and `detect` about 60, so this many pulses need about 1 GB; larger counts
+# are refused at parse time
+MAX_PULSES = channel.MAX_KEY_BITS
 # the largest n_b `detect` accepts from a pulse log: the count histogram has
 # one bin per value up to the largest count, so this bounds it at 8 MiB
 MAX_COUNT = 1 << 20
@@ -46,15 +48,13 @@ MAX_TIMEOUT = 1e9  # --timeout-secs ceiling: a socket refuses 2**63 ns (about 9.
 LATE_DEFAULTS = {"seed": 0, "timeout_secs": channel.DEFAULT_TIMEOUT}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """One CSV line per row, through one %-format built from the first row's
+    types: 12 significant digits for a float column, str() for any other."""
+    line = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n" if rows else ""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write("".join(line % row for row in rows))
 
 
 def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -371,21 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="analytic figure data (figures 1, 2, 3, 5, 6) as CSV")
     common(p)
     p.add_argument("--figure", type=int, choices=(1, 2, 3, 5, 6), default=None)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, parser=p)
 
     p = sub.add_parser("figures", help="emit all figure CSVs into a directory")
     common(p)
-    p.set_defaults(func=cmd_figures)
+    p.set_defaults(func=cmd_figures, parser=p)
 
     p = sub.add_parser("simulate", help="clean end-to-end run: pulses, keys, detection report")
     common(p, run=True, pulses=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("attack-split", help="beam-splitting attack scenario or --sweep data")
     common(p, run=True, pulses=True)
     p.add_argument("--split-p2", type=_SPLIT_P2, default=None, help="fraction p^2 kept by Bob")
     p.add_argument("--sweep", action="store_true", default=None)
-    p.set_defaults(func=cmd_attack_split)
+    p.set_defaults(func=cmd_attack_split, parser=p)
 
     p = sub.add_parser("attack-clone", help="state-cloning attack scenario")
     common(p, run=True, pulses=True)
@@ -394,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[s.value for s in attacks.CloneStrategy],
         default=None,
     )
-    p.set_defaults(func=cmd_attack_clone)
+    p.set_defaults(func=cmd_attack_clone, parser=p)
 
     p = sub.add_parser("detect", help="detection report from an existing pulse log")
     common(p, run=True)
     p.add_argument("--pulse-log", default=None)
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=cmd_detect, parser=p)
 
     for name, fn in (("reconcile-serve", cmd_reconcile_serve), ("reconcile-connect", cmd_reconcile_connect)):
         p = sub.add_parser(name, help="two-process XOR-code reconciliation")
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--peer", type=_host_port, default=None, help="host:port to connect (connect)")
         p.add_argument("--timeout-secs", type=_TIMEOUT, default=None)
         p.add_argument("--transcript", default=None, help="write hex frame transcript here")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, parser=p)
 
     return parser
 
@@ -421,7 +421,9 @@ def main(argv=None) -> int:
         if getattr(args, attr, default) is None:
             setattr(args, attr, default)
     try:
-        return args.func(args, parser)
+        # a handler's late usage errors go through its own command's parser,
+        # so they print that command's usage line
+        return args.func(args, args.parser)
     except (PhotonStatsError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -24,6 +24,10 @@ TAIL_EPS = 1e-12
 _MAX_CUTOFF = int(10 * MAX_LAMBDA + 100)
 _N = np.arange(_MAX_CUTOFF + 1)
 _LOG_FACTORIAL = np.array([math.lgamma(n + 1) for n in range(_MAX_CUTOFF + 1)])
+_TWO_LOG_FACTORIAL = 2.0 * _LOG_FACTORIAL
+_GRID = _N.astype(float)  # n as a float: an int grid is cast at every product
+# exp of any float64 at or below this is 0.0 (the smallest subnormal is exp(-744.4))
+_EXP_UNDERFLOW = -746.0
 
 
 class PhotonStatsError(ValueError):
@@ -129,6 +133,11 @@ def tmcc_weights(m) -> np.ndarray:
     weights per magnitude (shape np.shape(m) + (_MAX_CUTOFF + 1,)).  Each row
     is formed and normalised in the log domain, so no term overflows; its
     normaliser is the row's sum, I_0(2m) up to terms that underflow.
+
+    Only a leading band of the grid is formed; every weight past it is
+    exactly 0.0, as exp would give.  Past a row's mode its log weight, less
+    the row's maximum, rises with m, so the largest magnitude's row has the
+    widest band, and that one row finds its end.
     """
     m = np.asarray(m, dtype=float)
     log_m = []
@@ -137,11 +146,18 @@ def tmcc_weights(m) -> np.ndarray:
             raise PhotonStatsError(f"intensity magnitude must be finite and >= 0, got {x}")
         # math.log per magnitude: np.log may differ from it in the last bit
         log_m.append(math.log(x) if x > 0.0 else 0.0)
-    log_w = np.multiply.outer(2.0 * np.reshape(log_m, m.shape), _N)
-    log_w -= 2.0 * _LOG_FACTORIAL
+    top = 2.0 * max(log_m, default=0.0) * _GRID - _TWO_LOG_FACTORIAL
+    top -= top.max()
+    band = np.flatnonzero(top > _EXP_UNDERFLOW)[-1] + 1  # log weights are concave in n: one run of nonzeros
+    w = np.empty(m.shape + _GRID.shape)
+    w[..., band:] = 0.0
+    log_w = np.multiply.outer(2.0 * np.array(log_m).reshape(m.shape), _GRID[:band], out=w[..., :band])
+    log_w -= _TWO_LOG_FACTORIAL[:band]
     log_w -= log_w.max(axis=-1, keepdims=True)
-    w = np.exp(log_w, out=log_w)
-    w /= w.sum(axis=-1, keepdims=True)
+    np.exp(log_w, out=log_w)
+    # the sum runs over the whole row: pairwise summation over the band alone
+    # may round differently
+    log_w /= w.sum(axis=-1, keepdims=True)
     zero = m == 0.0
     if zero.any():
         w[zero] = _N == 0
@@ -151,7 +167,7 @@ def tmcc_weights(m) -> np.ndarray:
 def _tmcc_means(m: np.ndarray) -> np.ndarray:
     """<N> = sum_n n P_n for each magnitude of the 1-d `m`: one dot product
     per row, so each mean is summed exactly as for a single magnitude."""
-    return np.array([_N @ row for row in tmcc_weights(m)])
+    return np.array([_GRID @ row for row in tmcc_weights(m)])
 
 
 # term-ratio denominators (n + 1)^power over the grid, for Poisson (1) and TMCC (2) rows

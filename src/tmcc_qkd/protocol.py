@@ -83,11 +83,6 @@ class KeyMaterial:
     def xor_code(self) -> np.ndarray:
         return self.half_a ^ self.half_b
 
-    def to_hex(self) -> str:
-        if not self.bits.size:
-            return ""
-        return f"{int(self.to_bitstring(), 2):0{(self.bits.size + 3) // 4}x}"
-
     def to_bitstring(self) -> str:
         return (self.bits + ord("0")).tobytes().decode("ascii")
 

@@ -140,6 +140,28 @@ def tmcc_weights_row(m: float) -> np.ndarray:
     return w / w.sum()
 
 
+def tmcc_weights_full_grid(m) -> np.ndarray:
+    """`photon_stats.tmcc_weights` without its band: every row formed,
+    shifted, exponentiated and normalised over all 601 grid points."""
+    m = np.asarray(m, dtype=float)
+    log_m = [math.log(x) if x > 0.0 else 0.0 for x in m.ravel().tolist()]
+    log_w = np.multiply.outer(2.0 * np.reshape(log_m, m.shape), _N)
+    log_w -= 2.0 * _LOG_FACTORIAL
+    log_w -= log_w.max(axis=-1, keepdims=True)
+    w = np.exp(log_w, out=log_w)
+    w /= w.sum(axis=-1, keepdims=True)
+    zero = m == 0.0
+    if zero.any():
+        w[zero] = _N == 0
+    return w
+
+
+def tmcc_means_full_grid(m: np.ndarray) -> np.ndarray:
+    """<N> of each magnitude of the 1-d `m`: one integer-grid dot product per
+    full-grid row."""
+    return np.array([_N @ row for row in tmcc_weights_full_grid(m)])
+
+
 def _mean_of_lambda(x: float) -> float:
     return float(_N @ tmcc_weights_row(x))
 

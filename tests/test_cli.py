@@ -1,4 +1,5 @@
 import argparse
+import math
 import re
 import socket
 import threading
@@ -227,7 +228,8 @@ class TestScenarios:
                 else "unrecognized arguments: --calibration-trials 100") in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("pulses", ["100000000000", str(cli.MAX_PULSES + 1), "1"])
+    # 100000001 lies between the key frame limit and 1e8: counts whose keys no peer could reconcile
+    @pytest.mark.parametrize("pulses", ["100000000000", "100000001", str(cli.MAX_PULSES + 1), "1"])
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     def test_pulse_count_out_of_range_refused_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                               pulses, via_config):
@@ -248,6 +250,89 @@ class TestScenarios:
         assert ("'pulses'" if via_config else "argument --pulses:") in err
         assert f"[2, {cli.MAX_PULSES}]" in err
         assert not (tmp_path / "out").exists()
+
+    def test_pulse_cap_is_the_key_frame_limit(self, tmp_path, capsys, monkeypatch):
+        # one key bit per pulse: every key file a scenario writes can be reconciled
+        assert cli.MAX_PULSES == channel.MAX_KEY_BITS
+
+        class Sampled(Exception):
+            pass
+
+        def sampler(*_):
+            raise Sampled
+
+        monkeypatch.setattr(cli, "PulseSampler", sampler)
+        argv = ["simulate", "--lambda", "2", "--out", str(tmp_path / "out"), "--pulses"]
+        with pytest.raises(Sampled):  # the limit itself parses
+            run([*argv, str(channel.MAX_KEY_BITS)])
+        with pytest.raises(SystemExit) as excinfo:
+            run([*argv, str(channel.MAX_KEY_BITS + 1)])
+        assert excinfo.value.code == 1
+        assert f"[2, {channel.MAX_KEY_BITS}], got {channel.MAX_KEY_BITS + 1}" in capsys.readouterr().err
+
+
+class TestCommandUsageLine:
+    """A usage error that a command's handler finds after parsing prints
+    that command's usage line, not the root one."""
+
+    @staticmethod
+    def _usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 1
+        return capsys.readouterr().err
+
+    def test_bad_pulse_log(self, tmp_path, capsys):
+        log = tmp_path / "pulses.csv"
+        log.write_text("pulse_index,n_a\n0,1\n")
+        err = self._usage_error(capsys, ["detect", "--lambda", "2", "--pulse-log", str(log)])
+        assert err.startswith("usage: tmcc-qkd detect ")
+        assert f"tmcc-qkd detect: error: cannot read pulse log: {log}, line 1" in err
+
+    def test_out_that_cannot_be_made(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "run"
+        err = self._usage_error(capsys, ["simulate", "--lambda", "2", "--pulses", "100", "--out", str(out)])
+        assert err.startswith("usage: tmcc-qkd simulate ")
+        assert f"tmcc-qkd simulate: error: --out {out}: cannot create the directory" in err
+
+    def test_unbindable_listen(self, tmp_path, capsys):
+        (tmp_path / "b.key").write_text("1010\n")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = f"127.0.0.1:{listener.getsockname()[1]}"
+            err = self._usage_error(capsys, ["reconcile-serve", "--key", str(tmp_path / "b.key"),
+                                             "--listen", address, "--timeout-secs", "1"])
+        assert err.startswith("usage: tmcc-qkd reconcile-serve ")
+        assert f"tmcc-qkd reconcile-serve: error: --listen {address}: cannot bind: [Errno" in err
+
+    def test_config_errors_keep_the_root_usage(self, tmp_path, capsys):
+        # --config belongs to the root command, so its errors print the root usage
+        (tmp_path / "cfg.json").write_text("[]")
+        err = self._usage_error(capsys, ["--config", str(tmp_path / "cfg.json"), "stats", "--lambda", "2"])
+        assert err.startswith("usage: tmcc-qkd [-h]")
+
+
+class TestWriteCsv:
+    """`_write_csv` prints what the per-value formatter it replaced printed:
+    f"{v:.12g}" for a float, str(v) for anything else."""
+
+    @staticmethod
+    def _per_value(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_header_only_table(self, tmp_path):
+        cli._write_csv(tmp_path / "t.csv", ["n", "p"], [])
+        assert (tmp_path / "t.csv").read_bytes() == self._per_value(["n", "p"], []) == b"n,p\n"
+
+    def test_mixed_int_and_float_table(self, tmp_path):
+        values = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, 123456789012.5,
+                  0.1 + 0.2, -2.5e-7, math.inf, -math.inf, math.nan]
+        rows = [(n, v, np.float64(v) / 3, 10**n) for n, v in enumerate(values)]  # numpy floats are floats too
+        header = ["n", "x", "y", "big"]
+        cli._write_csv(tmp_path / "t.csv", header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == self._per_value(header, rows)
 
 
 class TestReconcileCli:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcc_qkd.attacks import _lambdas_for_means
 from tmcc_qkd.photon_stats import (
     _LOG_FACTORIAL,
     _N,
@@ -17,6 +18,7 @@ from tmcc_qkd.photon_stats import (
     _law_table,
     _poisson_laws,
     _tmcc_laws,
+    _tmcc_means,
     _tmcc_moment_arrays,
     poisson_distribution,
     tmcc_distribution,
@@ -264,6 +266,30 @@ class TestBatchedKernels:
         rows = tmcc_weights(grid)
         assert rows.shape == (2, 2, 601)
         np.testing.assert_array_equal(rows[1, 0], tmcc_weights(8.0))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(0.0, 50.0, 20001),
+            np.geomspace(1e-8, 50.0, 2001),
+            np.linspace(0.05, 10.0, 100),  # figure 2
+            _lambdas_for_means(np.linspace(8.0 / 50.0, 8.0, 50)),  # figure 3
+            np.array([50.0, 1e-8, 0.0, 3.0]),  # the band set by the first row, a vacuum row inside it
+        ],
+        ids=["linear-0-50", "geometric-1e-8-50", "figure2", "figure3", "mixed"],
+    )
+    def test_banded_rows_equal_full_grid_oracle(self, grid):
+        # weights past each call's band are left 0.0, not computed: they must
+        # be exactly what exp gives on the whole grid, and so must every sum
+        assert np.array_equal(tmcc_weights(grid), oracles.tmcc_weights_full_grid(grid))
+        assert np.array_equal(_tmcc_means(grid), oracles.tmcc_means_full_grid(grid))
+
+    # 1000 is above MAX_LAMBDA, which IntensityParam enforces and this kernel does
+    # not: its weights underflow at the start of the grid, not at its end
+    @pytest.mark.parametrize("m", [0.0, 5e-324, 1e-8, 0.5, 1.0, 2.0, 5.0, 20.0, 45.0, 50.0, 1000.0])
+    def test_banded_scalar_equals_full_grid_oracle(self, m):
+        assert np.array_equal(tmcc_weights(m), oracles.tmcc_weights_full_grid(m))
+        assert np.array_equal(_tmcc_means(np.array([m])), oracles.tmcc_means_full_grid(np.array([m])))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_magnitude_in_batch_raises(self, bad):

@@ -59,10 +59,9 @@ class TestKeyMaterial:
         assert key.half_b.tolist() == [1, 0, 1]
         assert key.xor_code.tolist() == [0, 0, 0]
 
-    def test_hex_and_bitstring(self):
+    def test_bitstring(self):
         key = KeyMaterial.from_bits([1, 0, 1, 0])
         assert key.to_bitstring() == "1010"
-        assert key.to_hex() == "a"
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):

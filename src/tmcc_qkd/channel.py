@@ -25,6 +25,12 @@ MAX_PAYLOAD = 2**20
 # longest key whose XOR code (half its bits, after the 4-byte count) fits one frame
 MAX_KEY_BITS = 2 * 8 * (MAX_PAYLOAD - 4)
 DEFAULT_TIMEOUT = 10.0
+# the VERDICT payloads a responder sends: MATCH, MISMATCH, and MISMATCH with the length-detail byte
+_VERDICTS = {
+    b"\x01": ExchangeVerdict.MATCH,
+    b"\x00": ExchangeVerdict.MISMATCH,
+    b"\x00\x01": ExchangeVerdict.MISMATCH,
+}
 
 
 class MsgType(enum.IntEnum):
@@ -166,8 +172,9 @@ def run_reconciliation_exchange(
     """One blocking request/response reconciliation over a byte stream.
 
     The initiator sends HELLO then its XOR code; the responder reconciles
-    and replies with the verdict.  Any timeout, malformed frame or closed
-    stream yields ABORT (after a best-effort ABORT frame to the peer).
+    and replies with the verdict.  Any timeout, malformed frame, VERDICT
+    payload that no responder sends, or closed stream yields ABORT (after a
+    best-effort ABORT frame to the peer).
     An initiator key longer than MAX_KEY_BITS raises KeySizeError before any
     frame is sent.
     """
@@ -180,9 +187,8 @@ def run_reconciliation_exchange(
             send_frame(transport, Frame(MsgType.HELLO), transcript)
             send_frame(transport, Frame(MsgType.XOR_CODE, pack_bits(key.xor_code)), transcript)
             reply = read_frame(transport, transcript)
-            if reply.msg_type != MsgType.VERDICT or not reply.payload:
-                return _abort(transport, transcript)
-            return ExchangeVerdict.MATCH if reply.payload[0] == 1 else ExchangeVerdict.MISMATCH
+            verdict = _VERDICTS.get(reply.payload) if reply.msg_type == MsgType.VERDICT else None
+            return _abort(transport, transcript) if verdict is None else verdict
 
         hello = read_frame(transport, transcript)
         if hello.msg_type != MsgType.HELLO:

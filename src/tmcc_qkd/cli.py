@@ -61,8 +61,8 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
     """Fill in unset flags from a JSON config file (flags always win).
 
     A key may name a flag of any command; it applies to the commands that
-    have the flag, converted and checked like the flag itself; a switch
-    such as --sweep takes true or false.
+    have the flag, converted and checked like the flag itself.  A switch
+    such as --sweep takes true or false, any other flag a string or a number.
     """
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
@@ -87,6 +87,8 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
             if not isinstance(value, bool):
                 parser.error(f"config file {path}: {key!r} must be true or false, got {value!r}")
         else:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                parser.error(f"config file {path}: {key!r} must be a string or a number, got {value!r}")
             try:
                 value = (action.type or str)(str(value))
             except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -401,11 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse-log", default=None)
     p.set_defaults(func=cmd_detect, parser=p)
 
-    for name, fn in (("reconcile-serve", cmd_reconcile_serve), ("reconcile-connect", cmd_reconcile_connect)):
+    for name, fn, address, role in (
+        ("reconcile-serve", cmd_reconcile_serve, "--listen", "bind"),
+        ("reconcile-connect", cmd_reconcile_connect, "--peer", "connect to"),
+    ):
         p = sub.add_parser(name, help="two-process XOR-code reconciliation")
         p.add_argument("--key", default=None, help="key file of 0/1 characters")
-        p.add_argument("--listen", type=_host_port, default=None, help="host:port to bind (serve)")
-        p.add_argument("--peer", type=_host_port, default=None, help="host:port to connect (connect)")
+        p.add_argument(address, type=_host_port, default=None, help=f"host:port to {role}")
         p.add_argument("--timeout-secs", type=_TIMEOUT, default=None)
         p.add_argument("--transcript", default=None, help="write hex frame transcript here")
         p.set_defaults(func=fn, parser=p)

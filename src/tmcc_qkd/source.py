@@ -11,6 +11,7 @@ each.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -123,6 +124,8 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)  # up to the largest below the int6
 _LOG_BLOCK_ROWS = 4096  # rows formatted per write, bounding the memory of the text
 _LOG_READ_BYTES = 1 << 16  # text checked and parsed per step, in whole lines
 _ROW_SEPARATORS = b",,,,,\n"
+# the row grammar as one regex, which matches at the start of each line that is not a row
+_BAD_ROW = re.compile(rb"^(?![0-9]{1,18}(?:,[0-9]{1,18}){3}(?:,0{0,17}[01]){2}\r?$)", re.MULTILINE)
 
 
 def write_pulse_log(path, batch: PulseBatch) -> None:
@@ -157,40 +160,26 @@ def write_pulse_log(path, batch: PulseBatch) -> None:
             fh.write(text[:rows][keep[:rows]])
 
 
-def _read_rows(text: bytes, out: np.ndarray) -> tuple[int, bool]:
+def _read_rows(text: bytes, out: np.ndarray) -> int:
     """Parse LF-terminated lines of six counts into the five count columns of
     `out`; pulse_index is checked but not parsed.
 
-    Returns how many lines lead that are rows (six tokens of 1-18 digits,
-    the noise flags 0 or 1), and whether a line that is not one follows them.
+    Returns the number of rows, or -1 if any line is not a row (six tokens of
+    1-18 digits, the noise flags 0 or 1).
     """
     a = np.frombuffer(text, np.uint8)
-    cr = a == ord("\r")
-    if cr.any():  # a CR that ends a line goes; a lone CR stays, to fail below
-        cr[:-1] &= a[1:] == ord("\n")
-        a = a[~cr]
+    a = a[np.append((a[:-1] != ord("\r")) | (a[1:] != ord("\n")), True)]  # CRLF to LF; a lone CR fails below
     sep = np.flatnonzero(a < ord("0"))  # a row's separators are ",,,,,\n"
-    found = a[sep]
     gaps = np.diff(sep)  # one more than the length of each token after the first
     rows = sep.size // 6
     if not (
-        found.tobytes() == _ROW_SEPARATORS * rows  # so rows >= 1 and gaps is not empty
+        a[sep].tobytes() == _ROW_SEPARATORS * rows  # so rows >= 1 and gaps is not empty
         and 1 <= sep[0] <= 18
         and gaps.min() >= 2
         and gaps.max() <= 19
         and a.max() <= ord("9")
     ):
-        lengths = np.diff(sep, prepend=-1) - 1
-        bad = np.concatenate(
-            (
-                sep[found != np.resize(np.frombuffer(_ROW_SEPARATORS, np.uint8), sep.size)][:1],
-                sep[(lengths < 1) | (lengths > 18)][:1],
-                np.flatnonzero(a > ord("9"))[:1],
-            )
-        )
-        line = int(np.count_nonzero(a[: bad.min()] == ord("\n")))
-        # the lines before it are well formed, but a noise flag above 1 among them comes first
-        return (_read_rows(a[: sep[6 * line - 1] + 1].tobytes(), out)[0] if line else 0), True
+        return -1
     ends = sep.reshape(rows, 6)
     for k in range(1, 6):
         end = ends[:, k]
@@ -199,9 +188,7 @@ def _read_rows(text: bytes, out: np.ndarray) -> tuple[int, bool]:
         for j in range(2, width.max()):  # the j-th digit from the right, where there is one
             value += np.where(width > j, a.take(end - j, mode="clip") - ord("0"), 0) * _POW10[j - 1]
         out[:rows, k - 1] = value
-    if out[:rows, 3:].max() > 1:  # one reduction for a valid block
-        return int(np.flatnonzero(out[:rows, 3:] > 1)[0] // 2), True
-    return rows, False
+    return -1 if out[:rows, 3:].max() > 1 else rows
 
 
 def read_pulse_log(path) -> PulseBatch:
@@ -232,12 +219,12 @@ def read_pulse_log(path) -> PulseBatch:
     while start <= stop:
         end = data.find(b"\n", start + _LOG_READ_BYTES, stop) + 1 or stop + 1
         block = data[start:end] if end <= stop else data[start:stop] + b"\n"
-        rows, bad = _read_rows(block, counts[row:])
-        if bad:
-            line = block.split(b"\n")[rows].rstrip(b"\r").decode()
-            raise ValueError(
-                f"{path}, line {row + rows + 2}: expected 6 comma-separated counts >= 0, got {line!r}"
-            )
+        rows = _read_rows(block, counts[row:])
+        if rows < 0:  # the row grammar names the first bad line; the block's last LF starts none
+            at = _BAD_ROW.search(block, 0, len(block) - 1).start()
+            row += block.count(b"\n", 0, at)
+            line = block[at:].split(b"\n", 1)[0].rstrip(b"\r").decode()
+            raise ValueError(f"{path}, line {row + 2}: expected 6 comma-separated counts >= 0, got {line!r}")
         row, start = row + rows, end
     n_a, n_b, n_e, noise_a, noise_b = counts.T
     return PulseBatch(n_a, n_b, n_e, noise_a.astype(bool), noise_b.astype(bool))

@@ -237,6 +237,33 @@ class RecordingTransport:
         return chunk
 
 
+class TestInitiatorVerdict:
+    """The initiator accepts exactly the VERDICT payloads a responder sends;
+    any other gets an ABORT frame back and yields ABORT."""
+
+    KEY = KeyMaterial.from_bits([1, 0, 1, 1])
+    REQUEST = encode_frame(Frame(MsgType.HELLO)) + encode_frame(Frame(MsgType.XOR_CODE, pack_bits(KEY.xor_code)))
+
+    @pytest.mark.parametrize(
+        "payload, verdict",
+        [
+            (b"\x01", ExchangeVerdict.MATCH),
+            (b"\x00", ExchangeVerdict.MISMATCH),
+            (b"\x00\x01", ExchangeVerdict.MISMATCH),  # with the length-detail byte
+        ],
+    )
+    def test_responder_payloads(self, payload, verdict):
+        transport = RecordingTransport(encode_frame(Frame(MsgType.VERDICT, payload)))
+        assert run_reconciliation_exchange(Role.INITIATOR, self.KEY, transport) is verdict
+        assert transport.sent == self.REQUEST
+
+    @pytest.mark.parametrize("payload", [b"", b"\x07", b"\x02", b"\x01\x01", b"\x00\x00", b"\x00\x01\x00"])
+    def test_other_payloads_abort(self, payload):
+        transport = RecordingTransport(encode_frame(Frame(MsgType.VERDICT, payload)))
+        assert run_reconciliation_exchange(Role.INITIATOR, self.KEY, transport) is ExchangeVerdict.ABORT
+        assert transport.sent == self.REQUEST + encode_frame(Frame(MsgType.ABORT))
+
+
 class TestKeyBitLimit:
     def test_longest_key_fills_one_frame(self):
         key = KeyMaterial(np.zeros(MAX_KEY_BITS, np.uint8))

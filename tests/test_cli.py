@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import re
 import socket
@@ -25,6 +26,15 @@ def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+@pytest.fixture
+def no_sockets(monkeypatch):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    for name in ("socket", "create_server", "create_connection"):
+        monkeypatch.setattr(socket, name, no_socket)
 
 
 class TestStats:
@@ -271,6 +281,66 @@ class TestScenarios:
         assert f"[2, {channel.MAX_KEY_BITS}], got {channel.MAX_KEY_BITS + 1}" in capsys.readouterr().err
 
 
+# each command's flags for a run that works ({tmp} is the test's directory;
+# nothing listens on port 1) and the flags among them it cannot run without
+REQUIRED_FLAGS = {
+    "stats": ({"--out": "{tmp}/out/fig.csv"}, ["--out"]),
+    "figures": ({"--out": "{tmp}/out"}, ["--out"]),
+    "simulate": ({"--lambda": "2", "--pulses": "200", "--out": "{tmp}/out"}, ["--lambda", "--pulses", "--out"]),
+    "attack-split": (
+        {"--lambda": "2", "--split-p2": "0.5", "--pulses": "200", "--out": "{tmp}/out"},
+        ["--lambda", "--split-p2", "--pulses", "--out"],
+    ),
+    "attack-clone": ({"--lambda": "2", "--pulses": "200", "--out": "{tmp}/out"}, ["--lambda", "--pulses", "--out"]),
+    "detect": (
+        {"--lambda": "2", "--pulse-log": "{tmp}/pulses.csv", "--out": "{tmp}/out/report.txt"},
+        ["--lambda", "--pulse-log"],
+    ),
+    "reconcile-serve": (
+        {"--key": "{tmp}/a.key", "--listen": "127.0.0.1:0", "--timeout-secs": "0.1", "--transcript": "{tmp}/out/t"},
+        ["--key", "--listen"],
+    ),
+    "reconcile-connect": (
+        {"--key": "{tmp}/a.key", "--peer": "127.0.0.1:1", "--timeout-secs": "1", "--transcript": "{tmp}/out/t"},
+        ["--key", "--peer"],
+    ),
+}
+
+
+class TestRequiredFlags:
+    """A command run without a flag it cannot run without exits 1, names the
+    flag and writes nothing; the same flag given by a config file runs."""
+
+    CASES = [(command, flag) for command, (_, required) in REQUIRED_FLAGS.items() for flag in required]
+
+    @staticmethod
+    def _argv(tmp_path, command, flag):
+        """The command line less `flag`, and `flag`'s value."""
+        (tmp_path / "a.key").write_text("1010\n")
+        (tmp_path / "pulses.csv").write_text("pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n1,2,2,0,0,0\n")
+        flags = {name: value.format(tmp=tmp_path) for name, value in REQUIRED_FLAGS[command][0].items()}
+        value = flags.pop(flag)
+        return [command, *(text for item in flags.items() for text in item)], value
+
+    @pytest.mark.parametrize("command, flag", CASES)
+    def test_missing_flag_is_usage_error(self, tmp_path, capsys, no_sockets, command, flag):
+        argv, _ = self._argv(tmp_path, command, flag)
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 1
+        assert flag in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", CASES)
+    def test_flag_from_config_runs(self, tmp_path, capsys, command, flag):
+        argv, value = self._argv(tmp_path, command, flag)
+        (tmp_path / "cfg.json").write_text(json.dumps({flag[2:]: value}))
+        code = run(["--config", str(tmp_path / "cfg.json"), *argv])
+        # a reconcile command with no peer aborts
+        assert code == (cli.EXIT_ABORT if command.startswith("reconcile-") else cli.EXIT_OK)
+        assert (tmp_path / "out").exists()
+
+
 class TestCommandUsageLine:
     """A usage error that a command's handler finds after parsing prints
     that command's usage line, not the root one."""
@@ -336,14 +406,6 @@ class TestWriteCsv:
 
 
 class TestReconcileCli:
-    @pytest.fixture
-    def no_sockets(self, monkeypatch):
-        def no_socket(*args, **kwargs):
-            raise AssertionError("a socket was opened")
-
-        for name in ("socket", "create_server", "create_connection"):
-            monkeypatch.setattr(socket, name, no_socket)
-
     def _exchange(self, tmp_path, key_a: str, key_b: str):
         (tmp_path / "a.key").write_text(key_a + "\n")
         (tmp_path / "b.key").write_text(key_b + "\n")
@@ -438,6 +500,31 @@ class TestReconcileCli:
         assert f"argument {flag}:" in err
         assert "key file" not in err
 
+    @pytest.mark.parametrize(
+        "command, own, other",
+        [("reconcile-serve", "--listen", "--peer"), ("reconcile-connect", "--peer", "--listen")],
+    )
+    def test_other_address_flag_refused(self, tmp_path, capsys, no_sockets, command, own, other):
+        (tmp_path / "a.key").write_text("1010\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--key", str(tmp_path / "a.key"), own, "127.0.0.1:1", other, "127.0.0.1:5"])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {other} 127.0.0.1:5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, address, other",
+        [
+            ("reconcile-serve", ["--listen", "127.0.0.1:0"], "peer"),
+            ("reconcile-connect", ["--peer", "127.0.0.1:1"], "listen"),
+        ],
+    )
+    def test_other_address_config_key_skipped(self, tmp_path, command, address, other):
+        # a key for the other command's flag is skipped, like any key the command lacks; no peer, so ABORT
+        (tmp_path / "a.key").write_text("1010\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({other: "not an address"}))
+        argv = [command, "--key", str(tmp_path / "a.key"), *address, "--timeout-secs", "0.1"]
+        assert run(["--config", str(tmp_path / "cfg.json"), *argv]) == cli.EXIT_ABORT
+
     def test_listen_address_in_use_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "b.key").write_text("1010\n")
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -531,6 +618,17 @@ class TestConfigFile:
             run(["--config", str(cfg), "stats", "--out", str(tmp_path / "fig.csv")])
         assert excinfo.value.code == 1
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["null", "true", "false", '["a.csv"]', '{"path": "a.csv"}'])
+    def test_config_value_not_string_or_number(self, tmp_path, capsys, monkeypatch, value):
+        # a non-switch flag's key takes a string or a number; str() of any other value is no path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"out": %s}' % value)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", "cfg.json", "stats", "--lambda", "2"])
+        assert excinfo.value.code == 1
+        assert "config file cfg.json: 'out' must be a string or a number, got " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_config_switch_applies(self, tmp_path):
         cfg = tmp_path / "cfg.json"

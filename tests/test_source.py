@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from tmcc_qkd.source import (
+    _LOG_READ_BYTES,
     PulseBatch,
     PulseSampler,
     SourceConfig,
@@ -207,6 +208,15 @@ def replace_line(data: bytes, index: int, line: bytes) -> bytes:
     return b"\r\n".join(lines)
 
 
+def read_block_line(data: bytes, block: int, last: bool = False) -> int:
+    """Index (0 is the header) of the first line, or with `last` the last line,
+    of the reader's read block `block` (0 is the first)."""
+    end = data.index(b"\n") + 1
+    for _ in range(block + last):
+        end = data.index(b"\n", end + _LOG_READ_BYTES) + 1
+    return data.count(b"\n", 0, end) - last
+
+
 class TestPulseLogCodec:
     """The block codec against the `%d` writer and the regex reader it replaced."""
 
@@ -262,7 +272,15 @@ class TestPulseLogCodec:
             pytest.param(lambda d: replace_line(d, 1, b"1" * 19 + b",1,1,0,0,0"), id="19-digit-first-token"),
             pytest.param(lambda d: replace_line(d, 19_000, b"18999,2,2,0,x,0"), id="later-read-block"),
             pytest.param(lambda d: replace_line(replace_line(d, 3, b"2,1,1,0,0,10"), 6, b"x"), id="flag-first"),
+            # a noise flag above 1 on the line directly before a structural fault
+            pytest.param(lambda d: replace_line(replace_line(d, 8, b"7,1,1,0,2,0"), 9, b"8,1"), id="flag-then-fault"),
             pytest.param(lambda d: replace_line(d, 4, b"3,1,1,0,00000000000000001,0"), id="flag-zeros"),
+            pytest.param(lambda d: replace_line(d, read_block_line(d, 1), b"x"), id="second-block-first-line"),
+            # a line at least as long as the one it replaces stays the block's last
+            pytest.param(
+                lambda d: replace_line(d, read_block_line(d, 1, last=True), b"9" * 19 + b",1,1,0,0,0"),
+                id="second-block-last-line",
+            ),
             pytest.param(lambda d: d + b"\r\n\r\n", id="trailing-blank-lines"),
             pytest.param(lambda d: d[: d.index(b"\n") + 1], id="header-only"),
         ],

@@ -44,8 +44,10 @@ MAX_PULSES = channel.MAX_KEY_BITS
 # one bin per value up to the largest count, so this bounds it at 8 MiB
 MAX_COUNT = 1 << 20
 MAX_TIMEOUT = 1e9  # --timeout-secs ceiling: a socket refuses 2**63 ns (about 9.2e9 s) or more
-# flag defaults applied after the config file is merged, so that the file can set them
-LATE_DEFAULTS = {"seed": 0, "timeout_secs": channel.DEFAULT_TIMEOUT}
+# flag defaults applied after the config file is merged, so that the file can set them;
+# a command's `required` flags have none, so `lam` reaches only stats and figures
+LATE_DEFAULTS = {"lam": 2.0, "epsilon": 0.0, "seed": 0, "figure": 1, "clone_strategy": "tmcc-clone",
+                 "timeout_secs": channel.DEFAULT_TIMEOUT}
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -55,6 +57,11 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write("".join(line % row for row in rows))
+
+
+def _dest(name: str) -> str:
+    """The namespace attribute of the flag --`name`, or of the config key `name`."""
+    return "lam" if name == "lambda" else name.replace("-", "_")
 
 
 def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -77,7 +84,7 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {name: {a.dest: a for a in sub._actions} for name, sub in commands.choices.items()}
     for key, value in data.items():
-        attr = "lam" if key == "lambda" else key.replace("-", "_")
+        attr = _dest(key)
         if attr == "help" or not any(attr in f for f in flags.values()):
             parser.error(f"config file {path}: unknown key {key!r}")
         action = flags[args.command].get(attr)
@@ -143,12 +150,6 @@ _PULSES = _checked(int, _check_pulses)
 _TIMEOUT = _checked(float, _check_timeout)
 
 
-def _intensity(args, parser, default: float | None = None) -> IntensityParam:
-    if args.lam is None and default is None:
-        parser.error("--lambda is required for this command")
-    return IntensityParam(default if args.lam is None else args.lam)
-
-
 def _made_path(parser, flag: str, text: str, directory: bool = False) -> Path:
     """The path `text` of `flag`, with the directory it needs made: the path
     itself if `directory`, else the parent of the file it names.  A directory
@@ -162,13 +163,6 @@ def _made_path(parser, flag: str, text: str, directory: bool = False) -> Path:
     if not directory and path.is_dir():
         parser.error(f"{flag} {text}: is a directory, expected a file")
     return path
-
-
-def _out_path(args, parser, directory: bool = False) -> Path:
-    """--out, made as `_made_path` makes it."""
-    if args.out is None:
-        parser.error("--out is required for this command")
-    return _made_path(parser, "--out", args.out, directory)
 
 
 def _figure_rows(figure: int, lam: IntensityParam):
@@ -203,16 +197,13 @@ def _figure6(figure5_rows):
 
 
 def cmd_stats(args, parser) -> int:
-    figure = args.figure if args.figure is not None else 1
-    lam = _intensity(args, parser, default=2.0)
-    out = _out_path(args, parser)
-    _write_csv(out, *_figure_rows(figure, lam))
+    _write_csv(_made_path(parser, "--out", args.out), *_figure_rows(args.figure, IntensityParam(args.lam)))
     return EXIT_OK
 
 
 def cmd_figures(args, parser) -> int:
-    out = _out_path(args, parser, directory=True)
-    lam = _intensity(args, parser, default=2.0)
+    out = _made_path(parser, "--out", args.out, directory=True)
+    lam = IntensityParam(args.lam)
     for figure in (1, 2, 3, 5):
         header, rows = _figure_rows(figure, lam)
         _write_csv(out / f"figure{figure}.csv", header, rows)
@@ -241,11 +232,8 @@ def _report(args, lam: IntensityParam, counts: np.ndarray, out: Path | None) -> 
 
 
 def _scenario_args(args, parser):
-    lam = _intensity(args, parser)
-    if args.pulses is None:
-        parser.error("--pulses is required for this command")
-    cfg = SourceConfig(lam, noise_epsilon=args.epsilon or 0.0, seed=args.seed)
-    return cfg, _out_path(args, parser, directory=True)
+    cfg = SourceConfig(IntensityParam(args.lam), noise_epsilon=args.epsilon, seed=args.seed)
+    return cfg, _made_path(parser, "--out", args.out, directory=True)
 
 
 def cmd_simulate(args, parser) -> int:
@@ -254,16 +242,12 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_attack_split(args, parser) -> int:
-    lam = _intensity(args, parser)
-    if args.sweep:
-        if Path(args.out or "").suffix:  # a path with a suffix names the file, any other a directory
-            path = _out_path(args, parser)
-        else:
-            path = _out_path(args, parser, directory=True) / "split_sweep.csv"
-        _write_csv(path, *_figure_rows(5, lam))
+    if args.sweep:  # figure 5's CSV, as stats --figure 5 writes it
+        _write_csv(_made_path(parser, "--out", args.out), *_figure_rows(5, IntensityParam(args.lam)))
         return EXIT_OK
-    if args.split_p2 is None:
-        parser.error("--split-p2 is required without --sweep")
+    for flag in ("--split-p2", "--pulses"):
+        if getattr(args, _dest(flag[2:])) is None:
+            parser.error(f"{flag} is required without --sweep")
     cfg, outdir = _scenario_args(args, parser)
     r = attacks.SplitRatio.from_p_squared(args.split_p2)
     return _run_scenario(args, attacks.SplitPulseSampler(cfg, r), outdir)
@@ -271,14 +255,11 @@ def cmd_attack_split(args, parser) -> int:
 
 def cmd_attack_clone(args, parser) -> int:
     cfg, outdir = _scenario_args(args, parser)
-    strategy = attacks.CloneStrategy(args.clone_strategy or "tmcc-clone")
+    strategy = attacks.CloneStrategy(args.clone_strategy)
     return _run_scenario(args, attacks.ClonePulseSampler(cfg, strategy), outdir)
 
 
 def cmd_detect(args, parser) -> int:
-    lam = _intensity(args, parser)
-    if args.pulse_log is None:
-        parser.error("--pulse-log is required for detect")
     try:
         counts = read_pulse_log(args.pulse_log).n_b
     except (OSError, ValueError) as exc:
@@ -287,7 +268,8 @@ def cmd_detect(args, parser) -> int:
     if too_big.any():
         row = int(np.argmax(too_big))  # the first; line 1 is the header
         parser.error(f"{args.pulse_log}, line {row + 2}: n_b {counts[row]} exceeds the ceiling {MAX_COUNT}")
-    return _report(args, lam, counts, None if args.out is None else _out_path(args, parser))
+    out = None if args.out is None else _made_path(parser, "--out", args.out)
+    return _report(args, IntensityParam(args.lam), counts, out)
 
 
 def _load_key(path: str, parser) -> protocol.KeyMaterial:
@@ -332,14 +314,10 @@ def _reconcile(args, parser, exchange, address) -> int:
 
 
 def cmd_reconcile_serve(args, parser) -> int:
-    if args.listen is None or args.key is None:
-        parser.error("reconcile-serve requires --listen and --key")
     return _reconcile(args, parser, channel.serve_reconciliation, args.listen)
 
 
 def cmd_reconcile_connect(args, parser) -> int:
-    if args.peer is None or args.key is None:
-        parser.error("reconcile-connect requires --peer and --key")
     return _reconcile(args, parser, channel.connect_reconciliation, args.peer)
 
 
@@ -373,21 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="analytic figure data (figures 1, 2, 3, 5, 6) as CSV")
     common(p)
     p.add_argument("--figure", type=int, choices=(1, 2, 3, 5, 6), default=None)
-    p.set_defaults(func=cmd_stats, parser=p)
+    p.set_defaults(func=cmd_stats, parser=p, required=("--out",))
 
     p = sub.add_parser("figures", help="emit all figure CSVs into a directory")
     common(p)
-    p.set_defaults(func=cmd_figures, parser=p)
+    p.set_defaults(func=cmd_figures, parser=p, required=("--out",))
 
     p = sub.add_parser("simulate", help="clean end-to-end run: pulses, keys, detection report")
     common(p, run=True, pulses=True)
-    p.set_defaults(func=cmd_simulate, parser=p)
+    p.set_defaults(func=cmd_simulate, parser=p, required=("--lambda", "--pulses", "--out"))
 
     p = sub.add_parser("attack-split", help="beam-splitting attack scenario or --sweep data")
     common(p, run=True, pulses=True)
     p.add_argument("--split-p2", type=_SPLIT_P2, default=None, help="fraction p^2 kept by Bob")
     p.add_argument("--sweep", action="store_true", default=None)
-    p.set_defaults(func=cmd_attack_split, parser=p)
+    p.set_defaults(func=cmd_attack_split, parser=p, required=("--lambda", "--out"))
 
     p = sub.add_parser("attack-clone", help="state-cloning attack scenario")
     common(p, run=True, pulses=True)
@@ -396,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[s.value for s in attacks.CloneStrategy],
         default=None,
     )
-    p.set_defaults(func=cmd_attack_clone, parser=p)
+    p.set_defaults(func=cmd_attack_clone, parser=p, required=("--lambda", "--pulses", "--out"))
 
     p = sub.add_parser("detect", help="detection report from an existing pulse log")
     common(p, run=True)
     p.add_argument("--pulse-log", default=None)
-    p.set_defaults(func=cmd_detect, parser=p)
+    p.set_defaults(func=cmd_detect, parser=p, required=("--lambda", "--pulse-log"))
 
     for name, fn, address, role in (
         ("reconcile-serve", cmd_reconcile_serve, "--listen", "bind"),
@@ -412,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(address, type=_host_port, default=None, help=f"host:port to {role}")
         p.add_argument("--timeout-secs", type=_TIMEOUT, default=None)
         p.add_argument("--transcript", default=None, help="write hex frame transcript here")
-        p.set_defaults(func=fn, parser=p)
+        p.set_defaults(func=fn, parser=p, required=("--key", address))
 
     return parser
 
@@ -421,6 +399,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _load_config_defaults(args, parser)
+    for flag in args.required:
+        if getattr(args, _dest(flag[2:])) is None:
+            args.parser.error(f"{flag} is required for this command")
     for attr, default in LATE_DEFAULTS.items():
         if getattr(args, attr, default) is None:
             setattr(args, attr, default)

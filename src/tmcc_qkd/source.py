@@ -126,6 +126,11 @@ _LOG_READ_BYTES = 1 << 16  # text checked and parsed per step, in whole lines
 _ROW_SEPARATORS = b",,,,,\n"
 # the row grammar as one regex, which matches at the start of each line that is not a row
 _BAD_ROW = re.compile(rb"^(?![0-9]{1,18}(?:,[0-9]{1,18}){3}(?:,0{0,17}[01]){2}\r?$)", re.MULTILINE)
+QUOTE_CHARS = 80  # an error quotes at most this much of a refused line, then "..."
+
+
+def _quote(text: str) -> str:
+    return repr(text[:QUOTE_CHARS]) + ("..." if len(text) > QUOTE_CHARS else "")
 
 
 def write_pulse_log(path, batch: PulseBatch) -> None:
@@ -209,7 +214,7 @@ def read_pulse_log(path) -> PulseBatch:
     eol = min(i for i in (data.find(b"\r"), data.find(b"\n"), len(data)) if i >= 0)
     header = data[:eol].decode()
     if header != LOG_HEADER:
-        raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {header!r}")
+        raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {_quote(header)}")
     start = min(eol + (2 if data.startswith(b"\r\n", eol) else 1), len(data))
     stop = len(data)
     while stop > start and data.endswith((b"\r", b"\n"), start, stop):
@@ -224,7 +229,7 @@ def read_pulse_log(path) -> PulseBatch:
             at = _BAD_ROW.search(block, 0, len(block) - 1).start()
             row += block.count(b"\n", 0, at)
             line = block[at:].split(b"\n", 1)[0].rstrip(b"\r").decode()
-            raise ValueError(f"{path}, line {row + 2}: expected 6 comma-separated counts >= 0, got {line!r}")
+            raise ValueError(f"{path}, line {row + 2}: expected 6 comma-separated counts >= 0, got {_quote(line)}")
         row, start = row + rows, end
     n_a, n_b, n_e, noise_a, noise_b = counts.T
     return PulseBatch(n_a, n_b, n_e, noise_a.astype(bool), noise_b.astype(bool))

@@ -25,7 +25,7 @@ from tmcc_qkd.photon_stats import (
     tmcc_distribution,
     tmcc_weights,
 )
-from tmcc_qkd.source import LOG_HEADER, PulseBatch
+from tmcc_qkd.source import LOG_HEADER, QUOTE_CHARS, PulseBatch
 
 # largest n for the series cutoff search, as in the package
 MAX_CUTOFF = 600
@@ -346,6 +346,11 @@ _LOG_BAD_LINE = re.compile(r"^(?![0-9]{1,18}(?:,[0-9]{1,18}){3}(?:,0{0,17}[01]){
 _LOG_BLOCK = 1 << 14
 
 
+def _cut(text: str) -> str:
+    """A refused line as the reader quotes it: its first QUOTE_CHARS characters, then "..."."""
+    return repr(text) if len(text) <= QUOTE_CHARS else repr(text[:QUOTE_CHARS]) + "..."
+
+
 def write_pulse_log(path, batch: PulseBatch) -> None:
     """Oracle pulse-log writer: `%d` formatting, one row at a time."""
     rows = np.column_stack(
@@ -368,12 +373,12 @@ def read_pulse_log(path) -> PulseBatch:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not ASCII text: {exc}") from exc
     if header != LOG_HEADER:
-        raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {header!r}")
+        raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {_cut(header)}")
     bad = _LOG_BAD_LINE.search(body)
     if bad is not None:
         line = body[bad.start() :].split("\n", 1)[0].rstrip("\r")
         lineno = body.count("\n", 0, bad.start()) + 2
-        raise ValueError(f"{path}, line {lineno}: expected 6 comma-separated counts >= 0, got {line!r}")
+        raise ValueError(f"{path}, line {lineno}: expected 6 comma-separated counts >= 0, got {_cut(line)}")
     flat = body.replace("\r", "").replace("\n", ",")
     _, n_a, n_b, n_e, noise_a, noise_b = np.fromstring(flat, dtype=np.int64, sep=",").reshape(-1, 6).T
     return PulseBatch(n_a, n_b, n_e, noise_a.astype(bool), noise_b.astype(bool))

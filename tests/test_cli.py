@@ -154,11 +154,25 @@ class TestScenarios:
         assert excinfo.value.code == 1
         assert f"{log}, line 3: n_b {count} exceeds the ceiling {cli.MAX_COUNT}" in capsys.readouterr().err
 
+    def test_detect_cr_only_log_message_is_bounded(self, tmp_path, capsys):
+        # CR-only line ends make the whole body one refused line; its quote is cut
+        log = tmp_path / "pulses.csv"
+        rows = b"".join(b"%d,1,1,0,0,0\r" % i for i in range(50_000))
+        log.write_bytes(b"pulse_index,n_a,n_b,n_e,noise_a,noise_b\r" + rows)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["detect", "--lambda", "2", "--pulse-log", str(log)])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert f"{log}, line 2: " in err and err.rstrip().endswith("...")
+
     def test_sweep_creates_out_directory(self, tmp_path):
+        # with --sweep, --out always names figure 5's CSV, a suffix-less path too; its directory is made
         out = tmp_path / "nodir" / "sub"
         assert run(["attack-split", "--lambda", "2", "--sweep", "--out", str(out)]) == 0
-        header, rows = read_csv(out / "split_sweep.csv")
-        assert header[0] == "p" and len(rows) == 21
+        assert run(["stats", "--figure", "5", "--lambda", "2", "--out", str(tmp_path / "fig5.csv")]) == 0
+        assert (tmp_path / "nodir").is_dir() and out.is_file()
+        assert out.read_bytes() == (tmp_path / "fig5.csv").read_bytes()
 
     @staticmethod
     def _file_out_argv(tmp_path, command):
@@ -185,7 +199,7 @@ class TestScenarios:
         assert excinfo.value.code == 1
         assert f"--out {out}: cannot create the directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["stats", "detect"])
+    @pytest.mark.parametrize("command", ["stats", "sweep", "detect"])
     def test_file_out_naming_a_directory_is_usage_error(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             run(self._file_out_argv(tmp_path, command) + ["--out", str(tmp_path)])
@@ -312,6 +326,7 @@ class TestRequiredFlags:
     flag and writes nothing; the same flag given by a config file runs."""
 
     CASES = [(command, flag) for command, (_, required) in REQUIRED_FLAGS.items() for flag in required]
+    SCENARIO_FORK = {("attack-split", "--split-p2"), ("attack-split", "--pulses")}
 
     @staticmethod
     def _argv(tmp_path, command, flag):
@@ -328,7 +343,9 @@ class TestRequiredFlags:
         with pytest.raises(SystemExit) as excinfo:
             run(argv)
         assert excinfo.value.code == 1
-        assert flag in capsys.readouterr().err.splitlines()[-1]
+        # attack-split needs these two only without --sweep, which its handler checks
+        rule = "without --sweep" if (command, flag) in self.SCENARIO_FORK else "for this command"
+        assert capsys.readouterr().err.splitlines()[-1] == f"tmcc-qkd {command}: error: {flag} is required {rule}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", CASES)
@@ -603,6 +620,33 @@ class TestConfigFile:
         assert run(["stats", "--out", str(out)]) == 0
         assert out.exists()
 
+    # a flag with a late default, the command line it runs in, the file it writes,
+    # and two values other than the default
+    LATE_DEFAULT_RUNS = [
+        ("figure", ["stats", "--lambda", "2"], "fig.csv", "2", "3"),
+        ("clone-strategy", ["attack-clone", "--lambda", "2", "--pulses", "300"], "pulses.csv", "coherent",
+         "single-photon-bank"),
+        ("epsilon", ["simulate", "--lambda", "2", "--pulses", "300"], "pulses.csv", "0.05", "0.3"),
+    ]
+
+    @pytest.mark.parametrize("key, argv, name, value, other", LATE_DEFAULT_RUNS,
+                             ids=[case[0] for case in LATE_DEFAULT_RUNS])
+    def test_config_late_default_matches_flag(self, tmp_path, capsys, key, argv, name, value, other):
+        """A config value gives the flag's output bytes, and an explicit flag beats it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value) if key == "epsilon" else value}))
+
+        def output(tag, config, flag):
+            out = tmp_path / tag
+            argv_out = [*argv, *(() if flag is None else (f"--{key}", flag)), "--out", str(out / name)]
+            if name == "pulses.csv":  # a scenario's --out is its directory
+                argv_out[-1] = str(out)
+            assert run([*(("--config", str(cfg)) if config else ()), *argv_out]) == 0
+            return (out / name).read_bytes()
+
+        assert output("config", True, None) == output("flag", False, value) != output("default", False, None)
+        assert output("both", True, other) == output("other", False, other) != output("flag", False, value)
+
     def test_config_seed_applies(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 7}')
@@ -664,6 +708,17 @@ class TestConfigFile:
             run(["--config", str(cfg), "stats", "--lambda", "2", "--out", str(tmp_path / "fig.csv")])
         assert excinfo.value.code == 1
         assert "lamda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["required", "func", "parser"])
+    def test_config_cannot_reach_command_declarations(self, tmp_path, capsys, monkeypatch, key):
+        # each command's set_defaults puts these in the namespace; no flag has them
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: "x"}))
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", "cfg.json", "stats", "--lambda", "2", "--out", "fig.csv"])
+        assert excinfo.value.code == 1
+        assert f"config file cfg.json: unknown key {key!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestParserReuse:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from tmcc_qkd.source import (
     _LOG_READ_BYTES,
+    QUOTE_CHARS,
     PulseBatch,
     PulseSampler,
     SourceConfig,
@@ -19,6 +20,7 @@ from tmcc_qkd.source import (
 )
 
 LAM2 = IntensityParam(2.0)
+HEADER = b"pulse_index,n_a,n_b,n_e,noise_a,noise_b\r\n"
 FIELDS = ("n_a", "n_b", "n_e", "noise_a", "noise_b")
 
 
@@ -283,6 +285,11 @@ class TestPulseLogCodec:
             ),
             pytest.param(lambda d: d + b"\r\n\r\n", id="trailing-blank-lines"),
             pytest.param(lambda d: d[: d.index(b"\n") + 1], id="header-only"),
+            # one line to the reader, whose quote is cut
+            pytest.param(lambda d: d.replace(b"\r\n", b"\r"), id="cr-only-line-ends"),
+            pytest.param(lambda d: replace_line(d, 7, b"1" * 5000), id="long-bad-line"),
+            pytest.param(lambda d: replace_line(d, 7, b"x" * (QUOTE_CHARS + 1) + b"\r"), id="bad-line-one-over"),
+            pytest.param(lambda d: b"h" * 3000, id="long-header-no-line-end"),
         ],
     )
     def test_reader_matches_oracle_on_named_edits(self, tmp_path, edit):
@@ -295,3 +302,22 @@ class TestPulseLogCodec:
         path.write_bytes(replace_line(oracle_log(tmp_path / "oracle.csv", batch), 19_000, b"18999,2,2"))
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 19001: ") + ".*'18999,2,2'"):
             read_pulse_log(path)
+
+    @pytest.mark.parametrize(
+        "data, line, quoted",
+        [
+            (HEADER + b"1" * 5000 + b"\r\n", 2, repr("1" * QUOTE_CHARS) + "..."),
+            # CR-only line ends: the whole body is one line
+            (HEADER + b"0,1,1,0,0,0\r" * 20, 2, repr(("0,1,1,0,0,0\r" * 7)[:QUOTE_CHARS]) + "..."),
+            (HEADER + b"x" * QUOTE_CHARS, 2, repr("x" * QUOTE_CHARS)),  # at the limit, quoted whole
+            (b"h" * 3000, 1, repr("h" * QUOTE_CHARS) + "..."),  # a header with no line end
+        ],
+        ids=["long-line", "cr-only-line-ends", "at-the-limit", "long-header"],
+    )
+    def test_refused_line_quote_is_cut(self, tmp_path, data, line, quoted):
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as excinfo:
+            read_pulse_log(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}, line {line}: ") and message.endswith(f", got {quoted}")

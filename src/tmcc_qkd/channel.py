@@ -237,10 +237,14 @@ def connect_reconciliation(
     """Connect to a responder over TCP and run the initiator side.
 
     A key longer than MAX_KEY_BITS raises KeySizeError before connecting.
+    A host that does not resolve raises socket.gaierror; any other socket
+    error, a refused or timed-out connection among them, yields ABORT.
     """
     _check_key_fits(key)
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn:
             return run_reconciliation_exchange(Role.INITIATOR, key, conn, timeout, transcript)
+    except socket.gaierror:
+        raise
     except OSError:
         return ExchangeVerdict.ABORT

@@ -59,36 +59,36 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         fh.write("".join(line % row for row in rows))
 
 
-def _dest(name: str) -> str:
-    """The namespace attribute of the flag --`name`, or of the config key `name`."""
-    return "lam" if name == "lambda" else name.replace("-", "_")
+def _value(args, flag: str):
+    """The value of the command's flag `flag`, found through its parser's own flag table."""
+    return getattr(args, args.parser._option_string_actions[flag].dest)
 
 
 def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill in unset flags from a JSON config file (flags always win).
 
-    A key may name a flag of any command; it applies to the commands that
-    have the flag, converted and checked like the flag itself.  A switch
-    such as --sweep takes true or false, any other flag a string or a number.
+    A key is spelled as the flag of any command without its dashes; it applies
+    to the commands that have the flag, converted and checked like the flag
+    itself.  A switch such as --sweep takes true or false, any other flag a
+    string or a number.  The file is read as UTF-8, the JSON encoding.
     """
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
         return
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a UTF-8 or JSON decode error
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         parser.error(f"config file {path} must hold a JSON object")
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {name: {a.dest: a for a in sub._actions} for name, sub in commands.choices.items()}
     for key, value in data.items():
-        attr = _dest(key)
-        if attr == "help" or not any(attr in f for f in flags.values()):
+        flag = f"--{key}"
+        if flag == "--help" or not any(flag in p._option_string_actions for p in commands.choices.values()):
             parser.error(f"config file {path}: unknown key {key!r}")
-        action = flags[args.command].get(attr)
-        if action is None or getattr(args, attr) is not None:
+        action = args.parser._option_string_actions.get(flag)
+        if action is None or getattr(args, action.dest) is not None:
             continue
         if action.nargs == 0:  # a switch such as --sweep
             if not isinstance(value, bool):
@@ -102,7 +102,7 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
                 parser.error(f"config file {path}: invalid value {value!r} for {key!r}: {exc}")
         if action.choices is not None and value not in action.choices:
             parser.error(f"config file {path}: {key!r} must be one of {list(action.choices)}")
-        setattr(args, attr, value)
+        setattr(args, action.dest, value)
 
 
 def _checked(convert, check):
@@ -211,14 +211,18 @@ def cmd_figures(args, parser) -> int:
     return EXIT_OK
 
 
-def _run_scenario(args, sampler, outdir: Path) -> int:
-    batch = sampler.sample_batch(args.pulses)
+def _run_scenario(args, parser, sampler_type, *attack) -> int:
+    """A `sampler_type` run on the source flags (with `attack`'s parameters,
+    if any): pulse log, key files and detection report in the --out directory."""
+    cfg = SourceConfig(IntensityParam(args.lam), noise_epsilon=args.epsilon, seed=args.seed)
+    outdir = _made_path(parser, "--out", args.out, directory=True)
+    batch = sampler_type(cfg, *attack).sample_batch(args.pulses)
     write_pulse_log(outdir / "pulses.csv", batch)
-    threshold = protocol.ErrorModel(sampler.cfg.lam, sampler.cfg.noise_epsilon).threshold
+    threshold = protocol.ErrorModel(cfg.lam, cfg.noise_epsilon).threshold
     alice, bob = protocol.extract_keys(batch, threshold)
     (outdir / "alice.key").write_text(alice.to_bitstring() + "\n")
     (outdir / "bob.key").write_text(bob.to_bitstring() + "\n")
-    return _report(args, sampler.cfg.lam, batch.n_b, outdir / "report.txt")
+    return _report(args, cfg.lam, batch.n_b, outdir / "report.txt")
 
 
 def _report(args, lam: IntensityParam, counts: np.ndarray, out: Path | None) -> int:
@@ -231,14 +235,8 @@ def _report(args, lam: IntensityParam, counts: np.ndarray, out: Path | None) -> 
     return EXIT_OK
 
 
-def _scenario_args(args, parser):
-    cfg = SourceConfig(IntensityParam(args.lam), noise_epsilon=args.epsilon, seed=args.seed)
-    return cfg, _made_path(parser, "--out", args.out, directory=True)
-
-
 def cmd_simulate(args, parser) -> int:
-    cfg, outdir = _scenario_args(args, parser)
-    return _run_scenario(args, PulseSampler(cfg), outdir)
+    return _run_scenario(args, parser, PulseSampler)
 
 
 def cmd_attack_split(args, parser) -> int:
@@ -246,17 +244,13 @@ def cmd_attack_split(args, parser) -> int:
         _write_csv(_made_path(parser, "--out", args.out), *_figure_rows(5, IntensityParam(args.lam)))
         return EXIT_OK
     for flag in ("--split-p2", "--pulses"):
-        if getattr(args, _dest(flag[2:])) is None:
+        if _value(args, flag) is None:
             parser.error(f"{flag} is required without --sweep")
-    cfg, outdir = _scenario_args(args, parser)
-    r = attacks.SplitRatio.from_p_squared(args.split_p2)
-    return _run_scenario(args, attacks.SplitPulseSampler(cfg, r), outdir)
+    return _run_scenario(args, parser, attacks.SplitPulseSampler, attacks.SplitRatio.from_p_squared(args.split_p2))
 
 
 def cmd_attack_clone(args, parser) -> int:
-    cfg, outdir = _scenario_args(args, parser)
-    strategy = attacks.CloneStrategy(args.clone_strategy)
-    return _run_scenario(args, attacks.ClonePulseSampler(cfg, strategy), outdir)
+    return _run_scenario(args, parser, attacks.ClonePulseSampler, attacks.CloneStrategy(args.clone_strategy))
 
 
 def cmd_detect(args, parser) -> int:
@@ -287,38 +281,28 @@ def _load_key(path: str, parser) -> protocol.KeyMaterial:
     return protocol.KeyMaterial.from_bits(bits)
 
 
-def _exchange_exit(verdict: channel.ExchangeVerdict) -> int:
-    if verdict is channel.ExchangeVerdict.MATCH:
-        return EXIT_OK
-    if verdict is channel.ExchangeVerdict.MISMATCH:
-        return EXIT_MISMATCH
-    return EXIT_ABORT
+_VERDICT_EXIT = {channel.ExchangeVerdict.MATCH: EXIT_OK, channel.ExchangeVerdict.MISMATCH: EXIT_MISMATCH,
+                 channel.ExchangeVerdict.ABORT: EXIT_ABORT}
 
 
-def _reconcile(args, parser, exchange, address) -> int:
-    """One reconciliation exchange on the --key file; the --transcript file's
-    directory is made before any socket opens."""
+def _reconcile(args, parser, exchange, flag: str, role: str) -> int:
+    """One reconciliation `exchange` on the --key file with the host:port of
+    the address `flag`; the --transcript file's directory is made before any
+    socket opens."""
     key = _load_key(args.key, parser)
     path = None if args.transcript is None else _made_path(parser, "--transcript", args.transcript)
     transcript = None if path is None else channel.Transcript()
+    host, port = _value(args, flag)
     try:
-        verdict = exchange(*address, key, args.timeout_secs, transcript)
+        verdict = exchange(host, port, key, args.timeout_secs, transcript)
     except channel.KeySizeError as exc:  # raised for the initiator's key only
         parser.error(f"key file {args.key}: {exc}")
-    except OSError as exc:  # serve's bind or address lookup: connect turns its socket errors into ABORT
-        parser.error(f"--listen {address[0]}:{address[1]}: cannot bind: {exc}")
+    except OSError as exc:  # serve's bind or either end's address lookup; other socket errors are ABORT
+        parser.error(f"{flag} {host}:{port}: cannot {role}: {exc}")
     if path is not None:
         transcript.dump_hex(path)
     print(f"verdict={verdict.value}")
-    return _exchange_exit(verdict)
-
-
-def cmd_reconcile_serve(args, parser) -> int:
-    return _reconcile(args, parser, channel.serve_reconciliation, args.listen)
-
-
-def cmd_reconcile_connect(args, parser) -> int:
-    return _reconcile(args, parser, channel.connect_reconciliation, args.peer)
+    return _VERDICT_EXIT[verdict]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -369,11 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack-clone", help="state-cloning attack scenario")
     common(p, run=True, pulses=True)
-    p.add_argument(
-        "--clone-strategy",
-        choices=[s.value for s in attacks.CloneStrategy],
-        default=None,
-    )
+    p.add_argument("--clone-strategy", choices=[s.value for s in attacks.CloneStrategy], default=None)
     p.set_defaults(func=cmd_attack_clone, parser=p, required=("--lambda", "--pulses", "--out"))
 
     p = sub.add_parser("detect", help="detection report from an existing pulse log")
@@ -381,16 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse-log", default=None)
     p.set_defaults(func=cmd_detect, parser=p, required=("--lambda", "--pulse-log"))
 
-    for name, fn, address, role in (
-        ("reconcile-serve", cmd_reconcile_serve, "--listen", "bind"),
-        ("reconcile-connect", cmd_reconcile_connect, "--peer", "connect to"),
+    for name, exchange, address, role in (
+        ("reconcile-serve", channel.serve_reconciliation, "--listen", "bind"),
+        ("reconcile-connect", channel.connect_reconciliation, "--peer", "connect to"),
     ):
         p = sub.add_parser(name, help="two-process XOR-code reconciliation")
         p.add_argument("--key", default=None, help="key file of 0/1 characters")
         p.add_argument(address, type=_host_port, default=None, help=f"host:port to {role}")
         p.add_argument("--timeout-secs", type=_TIMEOUT, default=None)
         p.add_argument("--transcript", default=None, help="write hex frame transcript here")
-        p.set_defaults(func=fn, parser=p, required=("--key", address))
+        func = functools.partial(_reconcile, exchange=exchange, flag=address, role=role)
+        p.set_defaults(func=func, parser=p, required=("--key", address))
 
     return parser
 
@@ -400,7 +381,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _load_config_defaults(args, parser)
     for flag in args.required:
-        if getattr(args, _dest(flag[2:])) is None:
+        if _value(args, flag) is None:
             args.parser.error(f"{flag} is required for this command")
     for attr, default in LATE_DEFAULTS.items():
         if getattr(args, attr, default) is None:

@@ -287,3 +287,27 @@ class TestKeyBitLimit:
         # refused before connecting: port 1 would otherwise give ABORT
         with pytest.raises(ValueError, match=limit):
             connect_reconciliation("127.0.0.1", 1, key)
+
+
+class TestConnectErrors:
+    """A host that does not resolve is an address error the caller reports;
+    any other failure to connect is ABORT."""
+
+    KEY = KeyMaterial(np.array([1, 0, 1, 1], np.uint8))
+
+    @staticmethod
+    def _refuse_with(monkeypatch, exc):
+        def create_connection(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+
+    def test_lookup_failure_raised(self, monkeypatch):
+        self._refuse_with(monkeypatch, socket.gaierror(socket.EAI_NONAME, "Name or service not known"))
+        with pytest.raises(socket.gaierror):
+            connect_reconciliation("nonexistent.invalid", 9000, self.KEY)
+
+    @pytest.mark.parametrize("exc", [ConnectionRefusedError(111, "Connection refused"), TimeoutError("timed out")])
+    def test_other_connect_failure_aborts(self, monkeypatch, exc):
+        self._refuse_with(monkeypatch, exc)
+        assert connect_reconciliation("127.0.0.1", 9000, self.KEY) is ExchangeVerdict.ABORT

@@ -457,6 +457,23 @@ class TestReconcileCli:
                     "--peer", f"127.0.0.1:{free_port()}", "--timeout-secs", "0.5"])
         assert code == 3
 
+    def test_unresolvable_peer_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        lookup = socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        def create_connection(*args, **kwargs):
+            raise lookup
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        (tmp_path / "a.key").write_text("1010\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["reconcile-connect", "--key", str(tmp_path / "a.key"), "--peer", "nonexistent.invalid:9000"])
+        assert excinfo.value.code == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines()[-1] == (
+            f"tmcc-qkd reconcile-connect: error: --peer nonexistent.invalid:9000: cannot connect to: {lookup}"
+        )
+        assert "verdict=" not in out
+
     def test_key_file_with_bad_odd_trailing_char(self, tmp_path, capsys):
         (tmp_path / "a.key").write_text("1010x\n")
         with pytest.raises(SystemExit) as excinfo:
@@ -719,6 +736,70 @@ class TestConfigFile:
         assert excinfo.value.code == 1
         assert f"config file cfg.json: unknown key {key!r}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_bytes(b'{"lambda": "\xff"}')
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", "bad.json", "stats", "--out", "x.csv"])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "tmcc-qkd: error: cannot read config file bad.json: "
+            "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    # each namespace spelling of a flag whose config key differs from it, a value,
+    # and a command line of a command that has the flag
+    DEST_SPELLED = [
+        ("lam", 2, ["simulate", "--pulses", "100", "--out", "out"]),
+        ("split_p2", 0.5, ["attack-split", "--lambda", "2", "--pulses", "100", "--out", "out"]),
+        ("clone_strategy", "coherent", ["attack-clone", "--lambda", "2", "--pulses", "100", "--out", "out"]),
+        ("pulse_log", "pulses.csv", ["detect", "--lambda", "2", "--out", "report.txt"]),
+        ("timeout_secs", 1, ["reconcile-connect", "--key", "a.key", "--peer", "127.0.0.1:1", "--transcript", "t"]),
+    ]
+
+    @pytest.mark.parametrize("key, value, argv", DEST_SPELLED, ids=[case[0] for case in DEST_SPELLED])
+    def test_config_key_spelled_as_namespace_name_refused(self, tmp_path, capsys, monkeypatch, no_sockets,
+                                                          key, value, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.key").write_text("1010\n")
+        (tmp_path / "pulses.csv").write_text("pulse_index,n_a,n_b,n_e,noise_a,noise_b\n0,1,1,0,0,0\n1,2,2,0,0,0\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", "cfg.json", *argv])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"tmcc-qkd: error: config file cfg.json: unknown key {key!r}"
+        assert sorted(tmp_path.iterdir()) == before
+
+
+# a valid command-line value of each flag that takes one
+FLAG_VALUES = {
+    "--lambda": "2.5", "--out": "x", "--epsilon": "0.1", "--seed": "7", "--pulses": "100", "--figure": "3",
+    "--split-p2": "0.25", "--clone-strategy": "coherent", "--pulse-log": "p.csv", "--key": "a.key",
+    "--listen": "127.0.0.1:9000", "--peer": "127.0.0.1:9000", "--timeout-secs": "2.5", "--transcript": "t.hex",
+}
+
+
+(_COMMANDS,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+# (command, flag, whether the flag is a switch) for every long option but --help
+LONG_OPTIONS = [(name, flag, action.nargs == 0) for name, p in _COMMANDS.choices.items()
+                for flag, action in p._option_string_actions.items() if flag.startswith("--") and flag != "--help"]
+
+
+@pytest.mark.parametrize("command, flag, switch", LONG_OPTIONS, ids=[f"{c}{f}" for c, f, _ in LONG_OPTIONS])
+def test_config_key_spelled_as_flag_sets_what_the_flag_sets(tmp_path, command, flag, switch):
+    """The config key `flag` less its dashes sets the same attribute to the
+    same value as `flag` does, and nothing else."""
+    parser = cli.build_parser()
+    by_flag = parser.parse_args([command, flag] if switch else [command, flag, FLAG_VALUES[flag]])
+    (tmp_path / "cfg.json").write_text(json.dumps({flag[2:]: True if switch else FLAG_VALUES[flag]}))
+    by_config = parser.parse_args(["--config", str(tmp_path / "cfg.json"), command])
+    cli._load_config_defaults(by_config, parser)
+    assert {**vars(by_config), "config": None} == vars(by_flag)
+    assert vars(by_flag) != vars(parser.parse_args([command]))
 
 
 class TestParserReuse:

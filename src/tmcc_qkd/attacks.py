@@ -2,8 +2,9 @@
 
 Beam splitting diverts amplitude fraction q of Bob's mode to Eve; given a
 total count n the photons partition binomially with per-photon probability
-p^2 toward Bob, so Bob's marginal is that binomial mixed over the TMCC law.
-The test suite checks it against the closed form
+p^2 toward Bob, so Bob's k and Eve's j = n - k have the joint law
+p^(2k) q^(2j) M[k, j], with one kernel M[k, j] = P_(k+j) C(k+j, j) for
+every split.  The test suite checks Bob's marginal against the closed form
 lambda^m p^(2m) I_m(2 q lambda) / (q^m m! I_0(2 lambda)) (tests/oracles.py).
 
 State cloning re-emits toward Bob a fresh state whose mean photon number
@@ -68,33 +69,31 @@ def _split_marginals(lam: IntensityParam, ratios: list[SplitRatio]) -> tuple[np.
     """Bob's photon-number marginal after each amplitude split in `ratios`:
     a law stack, one row per split as wide as the source law, and the cutoffs.
 
-    The TMCC law mixed over Binomial(n, p^2), P @ B, with B built in the log
-    domain; n runs until P_n is negligible, not just to the source cutoff,
-    and Bob's k to the source cutoff.  The weights, the (n, k) grid and
-    log C(n, k) are built once and shared by every split.  Limits p=1 (no
-    split: the source law) and p=0 (vacuum at Bob, cutoff 0) are exact.
+    Entry k is p^(2k) sum_j M[k, j] q^(2j), with M zero where P_(k+j) is
+    below _MIX_FLOOR and k running to the source cutoff: one stacked
+    matrix-vector product serves every split.  Each power is formed as
+    exp(j log q^2) or exp(k log p^2), so none exceeds 1, and M[k, j] is at
+    most 2^(k+j): nothing overflows.  Limits p=1 (no split: the source law)
+    and p=0 (vacuum at Bob, cutoff 0) are exact.
     """
     m = lam.magnitude
     source = tmcc_distribution(lam).probs
+    p2, q2 = np.array([[r.p**2 for r in ratios], [r.q**2 for r in ratios]])
+    whole = (q2 == 0.0) | (m == 0.0)
+    mixed = ~whole & (p2 > 0.0)
     table = np.zeros((len(ratios), source.size))
-    cutoffs = np.full(len(ratios), source.size - 1)
+    table[whole] = source
+    table[~(whole | mixed), 0] = 1.0
     w = tmcc_weights(m)
-    k = np.arange(source.size)
-    n = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)[:, None]
-    j = n - k  # photons toward Eve
-    log_c = _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[abs(j)]
-    log_c[j < 0] = -np.inf  # k > n: stays -inf through the finite terms added below
-    for i, r in enumerate(ratios):
-        if r.q == 0.0 or m == 0.0:
-            table[i] = source
-        elif r.p == 0.0:
-            table[i, 0], cutoffs[i] = 1.0, 0
-        else:
-            # log B = log C(n, k) + k log p^2 + j log q^2, summed in that order
-            log_b = log_c + k * math.log(r.p**2)
-            log_b += j * math.log(r.q**2)
-            table[i] = w[: n.size] @ np.exp(log_b, out=log_b)
-    return table, cutoffs
+    k = np.arange(source.size)[:, None]
+    j = np.arange(np.flatnonzero(w >= _MIX_FLOOR)[-1] + 1)
+    w[j.size :] = 0.0  # M is zero past the mixture's last n
+    n = k + j
+    kernel = np.exp(_LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[j]) * w[n]
+    # a stack of matrix-vector products: the BLAS gemm a matrix-matrix product calls maps a work buffer
+    q_pow = np.exp(np.multiply.outer(np.log(q2[mixed]), j))[:, :, None]
+    table[mixed] = np.exp(np.multiply.outer(np.log(p2[mixed]), k[:, 0])) * (kernel @ q_pow)[:, :, 0]
+    return table, np.where(whole | mixed, source.size - 1, 0)
 
 
 def split_marginal_bob(lam: IntensityParam, r: SplitRatio) -> PhotonDistribution:

@@ -78,7 +78,7 @@ def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: a UTF-8 or JSON decode error
+    except (OSError, ValueError, RecursionError) as exc:  # a UTF-8 or JSON decode error, or nesting too deep
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         parser.error(f"config file {path} must hold a JSON object")

@@ -165,9 +165,10 @@ def tmcc_weights(m) -> np.ndarray:
 
 
 def _tmcc_means(m: np.ndarray) -> np.ndarray:
-    """<N> = sum_n n P_n for each magnitude of the 1-d `m`: one dot product
-    per row, so each mean is summed exactly as for a single magnitude."""
-    return np.array([_GRID @ row for row in tmcc_weights(m)])
+    """<N> = sum_n n P_n for each magnitude of the 1-d `m`: one stacked 1xG by
+    Gx1 product, equal to the dot of each row with the grid to the bit, so
+    each mean is summed exactly as for a single magnitude."""
+    return (tmcc_weights(m)[:, None, :] @ _GRID[:, None])[:, 0, 0]
 
 
 # term-ratio denominators (n + 1)^power over the grid, for Poisson (1) and TMCC (2) rows

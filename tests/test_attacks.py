@@ -262,20 +262,25 @@ class TestBatchedInversion:
 class TestBatchedSplit:
     @staticmethod
     def _assert_rows_equal_oracle(lam, ratios):
+        # the kernel's product rounds unlike the oracle's log-domain sum: equal
+        # to 1e-13 relative, and entries below 1e-290 (where a power of p^2 or
+        # q^2 nears underflow) only in absolute terms
         table, cutoffs = _split_marginals(lam, ratios)
         assert table.shape == (len(ratios), tmcc_distribution(lam).probs.size)
         for r, row, cutoff in zip(ratios, table, cutoffs):
             want = split_marginal_mixture(lam, r)
             assert cutoff == want.cutoff
-            np.testing.assert_array_equal(row, np.pad(want.probs, (0, row.size - want.probs.size)))
-            assert _law(row[None], cutoff[None]).tail_mass == want.tail_mass
+            np.testing.assert_allclose(row, np.pad(want.probs, (0, row.size - want.probs.size)), rtol=1e-13, atol=1e-290)
+            assert _law(row[None], cutoff[None]).tail_mass == pytest.approx(want.tail_mass, rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("lam", BENCH_LAMBDAS)
     def test_figure5_ratios_equal_per_ratio_mixture(self, lam):
-        # figure 5's grid holds the no-split (p^2 = 1) and vacuum (p^2 = 0) rows
+        # figure 5's grid holds the no-split (p^2 = 1) and vacuum (p^2 = 0) rows;
+        # the extreme ratios put one of p^2, q^2 near 0
         lam = IntensityParam(lam)
-        self._assert_rows_equal_oracle(lam, FIGURE5_RATIOS)
-        self._assert_rows_equal_oracle(lam, [SplitRatio(r.q, r.p) for r in FIGURE5_RATIOS])
+        ratios = FIGURE5_RATIOS + [SplitRatio.from_p_squared(p_sq) for p_sq in (1e-9, 1e-6, 1 - 1e-6, 1 - 1e-12)]
+        self._assert_rows_equal_oracle(lam, ratios)
+        self._assert_rows_equal_oracle(lam, [SplitRatio(r.q, r.p) for r in ratios])
 
     def test_vacuum_source_gives_vacuum_for_every_ratio(self):
         table, cutoffs = _split_marginals(IntensityParam(0.0), FIGURE5_RATIOS)

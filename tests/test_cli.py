@@ -749,6 +749,15 @@ class TestConfigFile:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
+    def test_config_nested_too_deep_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", "deep.json", "stats", "--out", "x.csv"])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("tmcc-qkd: error: cannot read config file deep.json: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+
     # each namespace spelling of a flag whose config key differs from it, a value,
     # and a command line of a command that has the flag
     DEST_SPELLED = [

@@ -157,6 +157,18 @@ ANALYTIC_GOLDEN = {
     "figures@50/figure6.csv": "271017a9898c9e4fe2ef480a108af765540cb47e9d7e7ff4933d16664461c37f",
     "sweep@2": "4666b42452aab34d7e0fa88b66f90e02e60f426a980e61012995182cb312955f",
     "sweep@50": "3f4cc75636d0c4cab45debe92ea49d7400b5876fb62b7db1fcc10a2959e724cb",
+    # figure 5 and its sweep at more lambdas, recorded before the split laws
+    # were formed from one (k, j) kernel
+    "figures@1/figure5.csv": "a240378b562ffcb15e228b773ed0a681a0a839c5f690269e3bd1726489ea0c86",
+    "sweep@1": "a240378b562ffcb15e228b773ed0a681a0a839c5f690269e3bd1726489ea0c86",
+    "figures@4/figure5.csv": "c0cfd08473f89dc1e4a4828d009f65a9c10683dab29e364e7af4e2562a098e35",
+    "sweep@4": "c0cfd08473f89dc1e4a4828d009f65a9c10683dab29e364e7af4e2562a098e35",
+    "figures@8/figure5.csv": "6b42df80613adf29afa89e83ce7a7e467ba142ee8d32890f36294517ef69a78c",
+    "sweep@8": "6b42df80613adf29afa89e83ce7a7e467ba142ee8d32890f36294517ef69a78c",
+    "figures@32/figure5.csv": "c6ef19d52194e4ade51fe6c0f2ce5210e2bbd66591ef6606b7137a047c7eba1f",
+    "sweep@32": "c6ef19d52194e4ade51fe6c0f2ce5210e2bbd66591ef6606b7137a047c7eba1f",
+    "figures@45/figure5.csv": "f8951b7afeab1c69e760c70918f31a48cf7e66a0b94e3226f94d7c8d36d7256a",
+    "sweep@45": "f8951b7afeab1c69e760c70918f31a48cf7e66a0b94e3226f94d7c8d36d7256a",
     "stats/figure2.csv": "c90553561453b09f53a621369721e53bb6477c15787e9b715bfa3b6f897ea988",
     "stats/figure3.csv": "6482bb5f02f8716f809b191a89a247225df87a138d79092e6043fe7af2075c1c",
     "clone@0.5/single-photon-bank": "df71319f9159ff2ee50a9a830016af285514d1c9572fa35b5f9508a237e745ff",
@@ -178,12 +190,12 @@ ANALYTIC_GOLDEN = {
 
 def analytic_digests(tmp_path) -> dict:
     digests = {}
-    for lam in ("0.5", "2", "16", "50"):
+    for lam in ("0.5", "1", "2", "4", "8", "16", "32", "45", "50"):
         out = tmp_path / f"figures-{lam}"
         assert cli.main(["figures", "--lambda", lam, "--out", str(out)]) == 0
-        for figure in (1, 2, 3, 5, 6):
+        for figure in (1, 2, 3, 5, 6) if lam in ("0.5", "2", "16", "50") else (5,):
             digests[f"figures@{lam}/figure{figure}.csv"] = _sha((out / f"figure{figure}.csv").read_bytes())
-    for lam in ("2", "50"):
+    for lam in ("1", "2", "4", "8", "32", "45", "50"):
         out = tmp_path / f"sweep-{lam}.csv"
         assert cli.main(["attack-split", "--lambda", lam, "--sweep", "--out", str(out)]) == 0
         digests[f"sweep@{lam}"] = _sha(out.read_bytes())

@@ -291,6 +291,14 @@ class TestBatchedKernels:
         assert np.array_equal(tmcc_weights(m), oracles.tmcc_weights_full_grid(m))
         assert np.array_equal(_tmcc_means(np.array([m])), oracles.tmcc_means_full_grid(np.array([m])))
 
+    def test_stacked_means_equal_per_row_dot(self):
+        # the stacked 1xG by Gx1 product sums each row as its own dot does
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            m = rng.uniform(0.0, 50.0, rng.integers(1, 120))
+            want = np.array([_N.astype(float) @ row for row in tmcc_weights(m)])
+            assert np.array_equal(_tmcc_means(m), want)
+
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_magnitude_in_batch_raises(self, bad):
         with pytest.raises(PhotonStatsError, match=f"got {bad}"):

@@ -44,6 +44,7 @@ MAX_PULSES = channel.MAX_KEY_BITS
 # one bin per value up to the largest count, so this bounds it at 8 MiB
 MAX_COUNT = 1 << 20
 MAX_TIMEOUT = 1e9  # --timeout-secs ceiling: a socket refuses 2**63 ns (about 9.2e9 s) or more
+_KEY_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII bytes str.strip() removes; bytes.strip() keeps \x1c-\x1f
 # flag defaults applied after the config file is merged, so that the file can set them;
 # a command's `required` flags have none, so `lam` reaches only stats and figures
 LATE_DEFAULTS = {"lam": 2.0, "epsilon": 0.0, "seed": 0, "figure": 1, "clone_strategy": "tmcc-clone",
@@ -268,12 +269,22 @@ def cmd_detect(args, parser) -> int:
 
 def _load_key(path: str, parser) -> protocol.KeyMaterial:
     try:
-        text = Path(path).read_text(encoding="ascii").strip()
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()  # not np.fromfile, which refuses a pipe
+    except OSError as exc:
         parser.error(f"cannot read key file {path}: {exc}")
-    bits = np.frombuffer(text.encode(), np.uint8) - ord("0")
+    # the bits lie between the bytes strip() would remove, found by index so the file is not copied
+    start, end = 0, len(data)
+    while start < end and data[start] in _KEY_SPACE:
+        start += 1
+    while end > start and data[end - 1] in _KEY_SPACE:
+        end -= 1
+    bits = np.frombuffer(data, np.uint8, end - start, start) - ord("0")
     # any byte other than "0" or "1" wraps to a value above 1
-    if (bits > 1).any():
+    if bits.max(initial=0) > 1:
+        try:  # a non-ASCII byte is named as decoding the file as text names it
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            parser.error(f"cannot read key file {path}: {exc}")
         parser.error(f"key file {path} must contain only 0/1 characters")
     # a key of 0 bits (1, once its odd bit goes) would reconcile as a MATCH
     if bits.size < 2:

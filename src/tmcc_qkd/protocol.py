@@ -55,7 +55,12 @@ class KeyMaterial:
 
     def __post_init__(self) -> None:
         bits = np.asarray(self.bits)
-        if bits.ndim != 1 or ((bits != 0) & (bits != 1)).any():
+        # bool holds only bits, uint8 takes one reduction; any other dtype (-1, 256, 0.5, NaN) each element
+        if bits.dtype == np.uint8:
+            bad = bits.max(initial=0) > 1
+        else:
+            bad = bits.dtype != bool and ((bits != 0) & (bits != 1)).any()
+        if bits.ndim != 1 or bad:
             raise ValueError("key bits must be 0 or 1")
         if bits.size % 2 != 0:
             raise ValueError("key length must be even; build via from_bits")

@@ -1,16 +1,18 @@
 import argparse
 import json
 import math
+import os
 import re
 import socket
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tmcc_qkd import channel, cli
+from tmcc_qkd import channel, cli, protocol
 
 
 def run(argv):
@@ -475,19 +477,26 @@ class TestReconcileCli:
         assert "verdict=" not in out
 
     def test_key_file_with_bad_odd_trailing_char(self, tmp_path, capsys):
-        (tmp_path / "a.key").write_text("1010x\n")
+        key = tmp_path / "a.key"
+        key.write_text("1010x\n")
         with pytest.raises(SystemExit) as excinfo:
-            run(["reconcile-connect", "--key", str(tmp_path / "a.key"), "--peer", "127.0.0.1:1"])
+            run(["reconcile-connect", "--key", str(key), "--peer", "127.0.0.1:1"])
         assert excinfo.value.code == 1
-        assert "0/1 characters" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"tmcc-qkd reconcile-connect: error: key file {key} must contain only 0/1 characters"
+        )
 
     def test_key_file_with_non_ascii_byte(self, tmp_path, capsys):
+        # the message names the byte and its offset, as decoding the file as ASCII text does
         key = tmp_path / "a.key"
         key.write_bytes(b"10\xff1\n")
         with pytest.raises(SystemExit) as excinfo:
             run(["reconcile-connect", "--key", str(key), "--peer", "127.0.0.1:1"])
         assert excinfo.value.code == 1
-        assert f"cannot read key file {key}" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"tmcc-qkd reconcile-connect: error: cannot read key file {key}: "
+            "'ascii' codec can't decode byte 0xff in position 2: ordinal not in range(128)"
+        )
 
     @pytest.mark.parametrize("command", ["reconcile-serve", "reconcile-connect"])
     @pytest.mark.parametrize("text, bits", [("", 0), ("\n", 0), ("1\n", 1)])
@@ -499,7 +508,9 @@ class TestReconcileCli:
         with pytest.raises(SystemExit) as excinfo:
             run([command, "--key", str(key), *address])
         assert excinfo.value.code == 1
-        assert f"key file {key} holds {bits} bits, need at least 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"tmcc-qkd {command}: error: key file {key} holds {bits} bits, need at least 2"
+        )
 
     def test_key_over_frame_limit_refused_before_connecting(self, tmp_path, capsys, monkeypatch):
         # the real limit needs a 16.7M-bit key file; a lowered one takes the same path
@@ -626,6 +637,92 @@ class TestReconcileCli:
             run([command, "--key", str(tmp_path / "a.key"), *address, "--transcript", str(tmp_path)])
         assert excinfo.value.code == 1
         assert f"--transcript {tmp_path}: is a directory, expected a file" in capsys.readouterr().err
+
+
+class TestKeyFile:
+    """What a key file may hold around and between its bits, and how a refusal is named (with the
+    non-ASCII, odd-trailing-character and under-two-bits tests of TestReconcileCli)."""
+
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda key: key.mkdir(), "cannot read key file {key}: [Errno 21] Is a directory: {key!r}"),
+            (lambda key: None, "cannot read key file {key}: [Errno 2] No such file or directory: {key!r}"),
+            (lambda key: key.write_bytes(b"10 10\n"), "key file {key} must contain only 0/1 characters"),
+            (lambda key: key.write_bytes(b"1021\n"), "key file {key} must contain only 0/1 characters"),
+        ],
+        ids=["directory", "missing", "inner-space", "digit-2"],
+    )
+    def test_refusal_is_one_usage_line(self, tmp_path, capsys, no_sockets, make, reason):
+        key = tmp_path / "a.key"
+        make(key)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["reconcile-connect", "--key", str(key), "--peer", "127.0.0.1:1"])
+        assert excinfo.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "tmcc-qkd reconcile-connect: error: " + reason.format(key=str(key))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"0110\r\n", b"\r\n \t0110", b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f0110 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"],
+        ids=["crlf", "leading", "all-ten-both-sides"],
+    )
+    def test_runs_of_ascii_whitespace_around_bits_ignored(self, tmp_path, content):
+        key = tmp_path / "a.key"
+        key.write_bytes(content)
+        assert cli._load_key(str(key), cli.build_parser()).bits.tolist() == [0, 1, 1, 0]
+
+    def test_every_ascii_byte_around_bits_stripped_as_str_strip_would(self, tmp_path, capsys):
+        key, parser = tmp_path / "a.key", cli.build_parser()
+        for byte in range(128):
+            key.write_bytes(bytes([byte]) + b"0110" + bytes([byte]))
+            text = (chr(byte) + "0110" + chr(byte)).strip()
+            if set(text) <= {"0", "1"}:
+                assert cli._load_key(str(key), parser).bits.tolist() == [int(c) for c in text], byte
+            else:
+                with pytest.raises(SystemExit):
+                    cli._load_key(str(key), parser)
+                assert capsys.readouterr().err.endswith(f"key file {key} must contain only 0/1 characters\n"), byte
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_key_read_through_a_pipe(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"0110\n")
+            os.close(write_end)
+            key = cli._load_key(f"/dev/fd/{read_end}", cli.build_parser())
+        finally:
+            os.close(read_end)
+        assert key.bits.tolist() == [0, 1, 1, 0]
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes traced by tracemalloc while `call()` runs, above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestKeyLoadMemory:
+    """A key load holds the file's bytes, their 0/1 values and the key's own copy, and no more."""
+
+    @pytest.mark.parametrize("size", [20_000, 200_000])
+    def test_load_key_peaks_near_three_bytes_per_bit(self, tmp_path, size):
+        key = tmp_path / "a.key"
+        key.write_bytes(np.random.default_rng(size).integers(ord("0"), ord("2"), size, np.uint8).tobytes() + b"\n")
+        parser = cli.build_parser()
+        assert traced_peak_bytes(lambda: cli._load_key(str(key), parser)) <= 3.5 * size
+
+    @pytest.mark.parametrize("size", [20_000, 200_000])
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_from_bits_peaks_near_one_byte_per_bit(self, size, dtype):
+        bits = np.random.default_rng(size).integers(0, 2, size).astype(dtype)
+        assert traced_peak_bytes(lambda: protocol.KeyMaterial.from_bits(bits)) <= 1.5 * size
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,46 @@ class TestKeyMaterial:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             KeyMaterial.from_bits([0, 2])
+
+    @pytest.mark.parametrize(
+        "bits, accepted",
+        [
+            (np.array([True, False]), True),
+            (np.array([], bool), True),
+            (np.zeros((2, 2), bool), False),
+            (np.array([0, 1], np.uint8), True),
+            (np.array([], np.uint8), True),
+            (np.array([0, 2], np.uint8), False),
+            (np.array([0, 255], np.uint8), False),
+            (np.zeros((2, 2), np.uint8), False),
+            (np.array([0, 1], np.int64), True),
+            (np.array([0, -1], np.int64), False),
+            (np.array([0, 2], np.int64), False),
+            (np.array([0, 256], np.int64), False),
+            (np.array([0.0, 1.0]), True),
+            (np.array([0.0, 0.5]), False),
+            (np.array([0.0, np.nan]), False),
+            (np.array([0.0, np.inf]), False),
+        ],
+    )
+    def test_accepts_exactly_bits_whatever_the_dtype(self, bits, accepted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if accepted:
+                assert KeyMaterial(bits).bits.tolist() == bits.astype(np.uint8).tolist()
+            else:
+                with pytest.raises(ValueError, match="key bits must be 0 or 1"):
+                    KeyMaterial(bits)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, float])
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_bits_are_a_read_only_copy(self, dtype, size):
+        caller = np.array([1, 0, 1, 1, 0][:size], dtype)
+        key = KeyMaterial.from_bits(caller)
+        assert key.bits.dtype == np.uint8 and not key.bits.flags.writeable
+        assert caller.flags.writeable
+        caller[:] = 0
+        assert key.bits.tolist() == [1, 0, 1, 1]
 
     def test_bits_are_read_only_uint8(self):
         key = KeyMaterial.from_bits([True, False])

@@ -26,7 +26,7 @@ from .photon_stats import (
     tmcc_distribution,
     tmcc_moments,
 )
-from .source import PulseSampler, SourceConfig, read_pulse_log, write_pulse_log
+from .source import PulseSampler, SourceConfig, pulse_log_blocks, write_pulse_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,9 +36,9 @@ EXIT_INTERNAL = 4
 
 CONFIG_ENV = "TMCC_QKD_CONFIG"
 # one key bit per pulse, so every key file a scenario writes fits the XOR
-# code's one frame; at their peaks a scenario holds about 35 bytes per pulse
-# and `detect` about 60, so this many pulses need about 1 GB; larger counts
-# are refused at parse time
+# code's one frame; at its peak a scenario holds about 35 bytes per pulse, so
+# this many pulses need about 600 MB, while `detect` reads its log in chunks
+# of bounded size; larger counts are refused at parse time
 MAX_PULSES = channel.MAX_KEY_BITS
 # the largest n_b `detect` accepts from a pulse log: the count histogram has
 # one bin per value up to the largest count, so this bounds it at 8 MiB
@@ -223,13 +223,13 @@ def _run_scenario(args, parser, sampler_type, *attack) -> int:
     alice, bob = protocol.extract_keys(batch, threshold)
     (outdir / "alice.key").write_text(alice.to_bitstring() + "\n")
     (outdir / "bob.key").write_text(bob.to_bitstring() + "\n")
-    return _report(args, cfg.lam, batch.n_b, outdir / "report.txt")
+    return _report(args, cfg.lam, np.bincount(batch.n_b), outdir / "report.txt")
 
 
-def _report(args, lam: IntensityParam, counts: np.ndarray, out: Path | None) -> int:
-    """Detection report on Bob's counts, to stdout and to `out` if given."""
-    thresholds = detection.calibrate_thresholds(lam, len(counts), seed=args.seed + 1)
-    text = detection.detect(counts, lam, thresholds).to_text()
+def _report(args, lam: IntensityParam, hist: np.ndarray, out: Path | None) -> int:
+    """Detection report on the histogram of Bob's counts, to stdout and to `out` if given."""
+    thresholds = detection.calibrate_thresholds(lam, int(hist.sum()), seed=args.seed + 1)
+    text = detection.detect_histogram(hist, lam, thresholds).to_text()
     if out is not None:
         out.write_text(text)
     print(text, end="")
@@ -254,17 +254,34 @@ def cmd_attack_clone(args, parser) -> int:
     return _run_scenario(args, parser, attacks.ClonePulseSampler, attacks.CloneStrategy(args.clone_strategy))
 
 
-def cmd_detect(args, parser) -> int:
+def _n_b_histogram(path: str, parser) -> np.ndarray:
+    """The histogram of the log's n_b column, folded block by block.  A line
+    that is not a row is named before an n_b above MAX_COUNT, which is named
+    only once the whole log has been read."""
+    hist = np.zeros(0, np.int64)
+    over = None  # the line and n_b of the first count above the ceiling
     try:
-        counts = read_pulse_log(args.pulse_log).n_b
+        for line, rows in pulse_log_blocks(path):
+            n_b = rows[:, 1]
+            if over is None and n_b.max() > MAX_COUNT:
+                row = int(np.argmax(n_b > MAX_COUNT))
+                over = (line + row, n_b[row])
+            if over is None:
+                block = np.bincount(n_b)
+                if block.size > hist.size:
+                    hist, block = block, hist
+                hist[: block.size] += block
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read pulse log: {exc}")
-    too_big = counts > MAX_COUNT
-    if too_big.any():
-        row = int(np.argmax(too_big))  # the first; line 1 is the header
-        parser.error(f"{args.pulse_log}, line {row + 2}: n_b {counts[row]} exceeds the ceiling {MAX_COUNT}")
+    if over is not None:
+        parser.error(f"{path}, line {over[0]}: n_b {over[1]} exceeds the ceiling {MAX_COUNT}")
+    return hist
+
+
+def cmd_detect(args, parser) -> int:
+    hist = _n_b_histogram(args.pulse_log, parser)
     out = None if args.out is None else _made_path(parser, "--out", args.out)
-    return _report(args, IntensityParam(args.lam), counts, out)
+    return _report(args, IntensityParam(args.lam), hist, out)
 
 
 def _load_key(path: str, parser) -> protocol.KeyMaterial:

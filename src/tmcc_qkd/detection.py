@@ -9,8 +9,9 @@ Decision thresholds are calibrated empirically from clean Monte Carlo runs
 Calibration's multinomial rows and the one histogram of the counts that
 `detect` reads go through one kernel, `_histogram_statistics`; its moments
 are exact sums of the integer counts, and its distances come from
-`density_ops.distances`, so a run gives the same statistics, bit for bit, in
-the null as in `detect`.
+`density_ops.difference_norms`, so a run gives the same statistics, bit for
+bit, in the null as in `detect`. `detect_histogram` takes that histogram
+directly, so a caller can fold it from a pulse log block by block.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density_ops import distances
+from .density_ops import difference_norms, differences
 from .photon_stats import IntensityParam, _folded_cdfs, _tmcc_laws, tmcc_moments
 from .source import derive_rng
 
@@ -86,7 +87,8 @@ def _histogram_statistics(hist: np.ndarray, pulses: int, expected: np.ndarray) -
 
     The moments are sums of integer terms, exact in float64 below 2**53 in
     any order, so no value depends on the row width, the block shape or the
-    BLAS build. The distances are `density_ops.distances` of the rows.
+    BLAS build. The distances are `density_ops.difference_norms` of the
+    rows' differences to `expected`, formed in the float copy of `hist`.
     """
     counts = hist.astype(float)
     n = np.arange(counts.shape[1], dtype=float)
@@ -94,7 +96,8 @@ def _histogram_statistics(hist: np.ndarray, pulses: int, expected: np.ndarray) -
     positive = mean > 0
     q = ((counts @ (n * n)) / pulses - mean**2) / np.where(positive, mean, 1.0) - 1.0
     counts /= pulses
-    return np.array((mean, np.where(positive, q, 0.0), *distances(counts, expected)))
+    hs, weak = difference_norms(differences(counts, expected, overwrite=True))
+    return np.array((mean, np.where(positive, q, 0.0), hs, weak))
 
 
 def _clean_law(lam: IntensityParam) -> tuple[np.ndarray, np.ndarray, float]:
@@ -120,7 +123,8 @@ def _null_statistics(lam: IntensityParam, pulses: int, trials: int, seed: int) -
     for start in range(0, trials, block):
         hist = rng.multinomial(pulses, folded, size=min(block, trials - start))
         stats[:, start : start + len(hist)] = _histogram_statistics(hist, pulses, expected)
-    stats[1] = np.abs(stats[1] - expected_q)
+    stats[1] -= expected_q
+    np.abs(stats[1], out=stats[1])
     return stats
 
 
@@ -154,7 +158,9 @@ def calibrate_thresholds(lam: IntensityParam, pulses: int, seed: int = 0) -> Det
     """
     if pulses < 1:
         raise ValueError("need at least 1 calibration pulse")
-    means, q_devs, hs_vals, weak_vals = np.sort(_null_statistics(lam, pulses, CALIBRATION_TRIALS, seed), axis=1)
+    stats = _null_statistics(lam, pulses, CALIBRATION_TRIALS, seed)
+    stats.sort(axis=1)
+    means, q_devs, hs_vals, weak_vals = stats
     per_stat = ALPHA / 4.0
     return DetectionThresholds(
         mean_low=_quantile(means, per_stat / 2.0),
@@ -179,10 +185,23 @@ def detect(
         raise ValueError("counts must be nonempty")
     if np.any(arr < 0):
         raise ValueError("counts must be >= 0")
+    return detect_histogram(np.bincount(arr), expected_lambda, thresholds)
+
+
+def detect_histogram(
+    hist: np.ndarray,
+    expected_lambda: IntensityParam,
+    thresholds: DetectionThresholds,
+) -> DetectionReport:
+    """`detect` on the histogram `hist` of the counts (`hist[n]` pulses
+    counted n photons), as `np.bincount` of the counts gives it."""
+    pulses = int(hist.sum())
+    if pulses < 1:
+        raise ValueError("the histogram must count at least one pulse")
     expected, _, expected_q = _clean_law(expected_lambda)
-    stats = _histogram_statistics(np.bincount(arr)[None], arr.size, expected)
+    stats = _histogram_statistics(hist[None], pulses, expected)
     mean, q, hs_val, weak_val = stats[:, 0].tolist()
-    if arr.size < MIN_PULSES:
+    if pulses < MIN_PULSES:
         verdict = DetectionVerdict.INSUFFICIENT_DATA
     elif mean < thresholds.mean_low:
         verdict = DetectionVerdict.SUSPECT_SPLIT
@@ -193,4 +212,4 @@ def detect(
         verdict = DetectionVerdict.SUSPECT_CLONE
     else:
         verdict = DetectionVerdict.CLEAN
-    return DetectionReport(mean, q, hs_val, weak_val, verdict, int(arr.size))
+    return DetectionReport(mean, q, hs_val, weak_val, verdict, pulses)

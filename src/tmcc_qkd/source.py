@@ -10,6 +10,7 @@ each.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, fields
@@ -123,6 +124,7 @@ LOG_HEADER = "pulse_index,n_a,n_b,n_e,noise_a,noise_b"
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # up to the largest below the int64 maximum
 _LOG_BLOCK_ROWS = 4096  # rows formatted per write, bounding the memory of the text
 _LOG_READ_BYTES = 1 << 16  # text checked and parsed per step, in whole lines
+_LOG_CHUNK_BYTES = 1 << 18  # bytes taken per read of a log file
 _ROW_SEPARATORS = b",,,,,\n"
 # the row grammar as one regex, which matches at the start of each line that is not a row
 _BAD_ROW = re.compile(rb"^(?![0-9]{1,18}(?:,[0-9]{1,18}){3}(?:,0{0,17}[01]){2}\r?$)", re.MULTILINE)
@@ -196,40 +198,97 @@ def _read_rows(text: bytes, out: np.ndarray) -> int:
     return -1 if out[:rows, 3:].max() > 1 else rows
 
 
+def _ascii_chunks(path, fh):
+    """The bytes of the open log `fh`, `_LOG_CHUNK_BYTES` at a time; a byte
+    above 127 is refused with its file offset, as decoding the whole file as
+    ASCII names it."""
+    offset = 0
+    while chunk := fh.read(_LOG_CHUNK_BYTES):
+        if not chunk.isascii():
+            try:
+                chunk.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}: not ASCII text: '{exc.encoding}' codec can't decode byte 0x{chunk[exc.start]:02x}"
+                    f" in position {offset + exc.start}: {exc.reason}"
+                ) from None
+        offset += len(chunk)
+        yield chunk
+
+
+def _refuse(chunks, message: str):
+    """Raise ValueError(message) once the rest of `chunks` has been read, so
+    that a non-ASCII byte anywhere in the file is named first."""
+    for _ in chunks:
+        pass
+    raise ValueError(message)
+
+
+def pulse_log_blocks(path):
+    """Yield (line, rows) for each block of about `_LOG_READ_BYTES` of whole
+    lines of a log written by `write_pulse_log`: `line` is the file line
+    number of the block's first row, and `rows` an int64 array with one row
+    (n_a, n_b, n_e, noise_a, noise_b) per line; LF line ends are accepted too.
+
+    The file is read `_LOG_CHUNK_BYTES` at a time, so the memory held does
+    not grow with the number of rows.  A partial last line, with any line
+    ends after it, is carried into the next chunk, and the line ends at the
+    end of the file are dropped.  Raises ValueError as `read_pulse_log`
+    does, after the blocks before the refused line have been yielded.
+    """
+    with open(path, "rb") as fh:
+        chunks = _ascii_chunks(path, fh)
+        pending: list[bytes] = []  # the bytes read but not yet cut into lines
+        line = 1  # the line number of pending's first line; 1 is the header
+        for chunk in itertools.chain(chunks, [b""]):
+            pending.append(chunk)
+            # cut lines once a chunk holds an LF before a byte that is not a line end: the line
+            # ends after the last such byte may end the file, where they are dropped
+            if chunk and chunk.rfind(b"\n", 0, len(chunk.rstrip(b"\r\n"))) < 0:
+                continue
+            data = b"".join(pending)
+            if line == 1:  # the header line ends at the first CR, LF or CRLF
+                eol = min(i for i in (data.find(b"\r"), data.find(b"\n"), len(data)) if i >= 0)
+                header = data[:eol].decode()
+                if header != LOG_HEADER:
+                    _refuse(chunks, f"{path}, line 1: expected header {LOG_HEADER!r}, got {_quote(header)}")
+                data = data[eol + (2 if data.startswith(b"\r\n", eol) else 1) :]
+                line = 2
+            stop = len(data.rstrip(b"\r\n"))
+            if chunk:  # the lines up to the last LF before the last byte that is not a line end
+                stop = data.rfind(b"\n", 0, stop) + 1
+                body = data
+            elif stop or line == 2:  # the end of the file; a log holds at least one row
+                body = data[:stop] + b"\n"
+                stop += 1
+            else:
+                return
+            start = 0
+            while start < stop:
+                end = body.find(b"\n", start + _LOG_READ_BYTES, stop) + 1 or stop
+                block = body[start:end]
+                rows = np.empty((block.count(b"\n"), 5), np.int64)
+                if _read_rows(block, rows) < 0:  # the row grammar names the first bad line
+                    at = _BAD_ROW.search(block, 0, len(block) - 1).start()
+                    line += block.count(b"\n", 0, at)
+                    bad = block[at:].split(b"\n", 1)[0].rstrip(b"\r").decode()
+                    _refuse(chunks, f"{path}, line {line}: expected 6 comma-separated counts >= 0, got {_quote(bad)}")
+                yield line, rows
+                line, start = line + len(rows), end
+            pending = [data[stop:]]
+
+
 def read_pulse_log(path) -> PulseBatch:
     """Read a log written by `write_pulse_log`; LF line ends are accepted too.
 
     Raises ValueError naming the file and line of the first line that is not
     the header or a row of six counts >= 0 with noise flags 0 or 1, or naming
-    the file if it is not ASCII text.
+    the file and offset of the first byte that is not ASCII, which comes first.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        try:
-            data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not ASCII text: {exc}") from exc
-    # the header line ends at the first CR, LF or CRLF; trailing line ends go
-    eol = min(i for i in (data.find(b"\r"), data.find(b"\n"), len(data)) if i >= 0)
-    header = data[:eol].decode()
-    if header != LOG_HEADER:
-        raise ValueError(f"{path}, line 1: expected header {LOG_HEADER!r}, got {_quote(header)}")
-    start = min(eol + (2 if data.startswith(b"\r\n", eol) else 1), len(data))
-    stop = len(data)
-    while stop > start and data.endswith((b"\r", b"\n"), start, stop):
-        stop -= 1
-    counts = np.empty((data.count(b"\n", start, stop) + 1, 5), np.int64)
-    row = 0
-    while start <= stop:
-        end = data.find(b"\n", start + _LOG_READ_BYTES, stop) + 1 or stop + 1
-        block = data[start:end] if end <= stop else data[start:stop] + b"\n"
-        rows = _read_rows(block, counts[row:])
-        if rows < 0:  # the row grammar names the first bad line; the block's last LF starts none
-            at = _BAD_ROW.search(block, 0, len(block) - 1).start()
-            row += block.count(b"\n", 0, at)
-            line = block[at:].split(b"\n", 1)[0].rstrip(b"\r").decode()
-            raise ValueError(f"{path}, line {row + 2}: expected 6 comma-separated counts >= 0, got {_quote(line)}")
-        row, start = row + rows, end
-    n_a, n_b, n_e, noise_a, noise_b = counts.T
-    return PulseBatch(n_a, n_b, n_e, noise_a.astype(bool), noise_b.astype(bool))
+    counts, flags = [], []
+    for _, rows in pulse_log_blocks(path):  # each block kept at 26 bytes a row, not 40
+        counts.append(rows[:, :3].copy())
+        flags.append(rows[:, 3:].astype(bool))
+    n_a, n_b, n_e = np.concatenate(counts).T
+    noise_a, noise_b = np.concatenate(flags).T
+    return PulseBatch(n_a, n_b, n_e, noise_a, noise_b)

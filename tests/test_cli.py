@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmcc_qkd import channel, cli, protocol
+from tmcc_qkd import channel, cli, detection, protocol, source
+from tmcc_qkd.photon_stats import IntensityParam
 
 
 def run(argv):
@@ -723,6 +724,30 @@ class TestKeyLoadMemory:
     def test_from_bits_peaks_near_one_byte_per_bit(self, size, dtype):
         bits = np.random.default_rng(size).integers(0, 2, size).astype(dtype)
         assert traced_peak_bytes(lambda: protocol.KeyMaterial.from_bits(bits)) <= 1.5 * size
+
+
+class TestDetectionMemory:
+    """`detect` folds its log into a histogram one chunk at a time, and
+    calibration holds one multinomial block and its float copy."""
+
+    def test_detect_peak_does_not_grow_with_the_log(self, tmp_path, capsys):
+        sampler = source.PulseSampler(source.SourceConfig(IntensityParam(2.0), noise_epsilon=0.05, seed=3))
+        argv = {}
+        for pulses in (20_000, 400_000):
+            source.write_pulse_log(tmp_path / f"{pulses}.csv", sampler.sample_batch(pulses))
+            argv[pulses] = ["detect", "--lambda", "2", "--pulse-log", str(tmp_path / f"{pulses}.csv")]
+        run(argv[20_000])  # builds the parser and the law tables once, outside the traced calls
+        small, large = (traced_peak_bytes(lambda: run(argv[pulses])) for pulses in argv)
+        assert abs(large - small) < source._LOG_CHUNK_BYTES
+        # the 400 000-pulse log is 7 MB; reading it whole held about 23 MiB
+        assert large < 2 * source._LOG_CHUNK_BYTES + 3 * 2**20
+
+    def test_calibration_peak_is_pinned(self):
+        lam = IntensityParam(2.0)
+        detection.calibrate_thresholds(lam, 1000)
+        # 1.66 MiB measured: 0.3 MiB of statistics, the 0.5 MiB block and its float copy, and the
+        # block's per-row vectors; a padded copy of the block and its |d| took it to 2.51 MiB
+        assert traced_peak_bytes(lambda: detection.calibrate_thresholds(lam, 50_000)) < 1.8 * 2**20
 
 
 class TestConfigFile:

@@ -94,7 +94,9 @@ class TestMetricProperties:
 class TestDistancesKernel:
     """The stacked kernel against the one-pair padded oracle, bit for bit."""
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 30), st.integers(1, 20), st.booleans())
+    # 400 rows take the weak distance one column at a time wherever the rows are under 20 wide
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 8, 400]), st.integers(1, 30), st.integers(1, 20),
+           st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_rows_equal_padded_oracle(self, seed, rows, short, extra, rows_longer):
         width, expected_width = (short + extra, short) if rows_longer else (short, short + extra)

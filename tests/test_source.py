@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tmcc_qkd import cli, source
 from tmcc_qkd.photon_stats import IntensityParam, tmcc_distribution, tmcc_moments
 from tmcc_qkd.source import (
     _LOG_READ_BYTES,
@@ -175,11 +176,11 @@ CODEC_SETTINGS = settings(
 
 
 @st.composite
-def pulse_batches(draw, sizes=LOG_SIZES):
-    """Batches whose counts have 1 to `digits` digits (at most 18) per entry."""
+def pulse_batches(draw, sizes=LOG_SIZES, max_digits=18):
+    """Batches whose counts have 1 to `digits` digits (at most `max_digits`) per entry."""
     n = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    counts = [rng.integers(0, 10 ** rng.integers(1, draw(st.integers(1, 18)) + 1, n)) for _ in range(3)]
+    counts = [rng.integers(0, 10 ** rng.integers(1, draw(st.integers(1, max_digits)) + 1, n)) for _ in range(3)]
     flags = rng.random((2, n)) < draw(st.floats(0.0, 1.0))
     return PulseBatch(*counts, *flags)
 
@@ -321,3 +322,185 @@ class TestPulseLogCodec:
             read_pulse_log(path)
         message = str(excinfo.value)
         assert message.startswith(f"{path}, line {line}: ") and message.endswith(f", got {quoted}")
+
+
+class Refusal(Exception):
+    pass
+
+
+class RaisingParser:
+    """Stands in for a command parser: a usage error raises `Refusal` with its message."""
+
+    def error(self, message):
+        raise Refusal(message)
+
+
+def streamed_outcome(path):
+    """`detect`'s streamed n_b histogram of the log, as a list, or the text of its usage error."""
+    try:
+        return cli._n_b_histogram(str(path), RaisingParser()).tolist()
+    except Refusal as exc:
+        return str(exc)
+
+
+def whole_file_outcome(path):
+    """What `detect` made of the log when it read the whole file at once: the
+    non-ASCII check of all its bytes, the regex reader, then the n_b ceiling."""
+    try:
+        path.read_bytes().decode("ascii")
+        n_b = oracles.read_pulse_log(path).n_b
+    except UnicodeDecodeError as exc:
+        return f"cannot read pulse log: {path}: not ASCII text: {exc}"
+    except ValueError as exc:
+        return f"cannot read pulse log: {exc}"
+    over = np.flatnonzero(n_b > cli.MAX_COUNT)
+    if over.size:
+        return f"{path}, line {over[0] + 2}: n_b {n_b[over[0]]} exceeds the ceiling {cli.MAX_COUNT}"
+    return np.bincount(n_b).tolist()
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Sets the reader's chunk and block sizes in bytes, so that a log of a few KB crosses many boundaries."""
+
+    def set_sizes(chunk, block=_LOG_READ_BYTES):
+        monkeypatch.setattr(source, "_LOG_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(source, "_LOG_READ_BYTES", block)
+
+    return set_sizes
+
+
+CHUNKS = [1, 2, 3, 7, 64, 1000]
+
+
+class TestStreamedPulseLog:
+    """The chunked reader, with chunks of a few bytes, against the whole-file readers."""
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        batch = sample(SourceConfig(LAM2, noise_epsilon=0.3, seed=81), 300)
+        return batch, oracle_log(tmp_path / "oracle.csv", batch)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("block", [1, 40, _LOG_READ_BYTES])
+    def test_blocks_concatenate_to_the_batch(self, tmp_path, small_chunks, log, chunk, block):
+        batch, data = log
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        small_chunks(chunk, block)
+        blocks = list(source.pulse_log_blocks(path))
+        assert [line for line, _ in blocks] == list(np.cumsum([2] + [len(rows) for _, rows in blocks[:-1]]))
+        assert same_batch(read_pulse_log(path), batch)
+        assert streamed_outcome(path) == np.bincount(batch.n_b).tolist()
+
+    def test_bad_line_across_a_chunk_boundary(self, tmp_path, small_chunks, log):
+        _, data = log
+        data = replace_line(data, 40, b"39,1,1,0,0x,0")
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        small_chunks(data.index(b"0x") + 1)  # the chunk ends inside the bad token
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 41: ") + ".*'39,1,1,0,0x,0'"):
+            read_pulse_log(path)
+        assert streamed_outcome(path) == whole_file_outcome(path)
+
+    @pytest.mark.parametrize("line", [0, 1, 150, 300], ids=["header", "first-row", "middle-row", "last-row"])
+    def test_crlf_split_by_a_chunk_boundary(self, tmp_path, small_chunks, log, line):
+        batch, data = log
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        at = sum(len(row) + 2 for row in data.split(b"\r\n")[:line]) + len(data.split(b"\r\n")[line])
+        assert data[at : at + 2] == b"\r\n"
+        small_chunks(at + 1)  # the first chunk ends with the CR, the next starts with the LF
+        assert same_batch(read_pulse_log(path), batch)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: replace_line(d, 20, b"19,1\r,1,0,0,0"), id="lone-cr-in-a-row"),
+            pytest.param(lambda d: replace_line(d, 20, b"19,1,1,0,0,0\r"), id="cr-before-crlf"),
+            pytest.param(lambda d: d + b"\r", id="trailing-cr"),
+            pytest.param(lambda d: d + b"\r\r\n\n\r", id="trailing-line-ends"),
+            pytest.param(lambda d: d.replace(b"\r\n", b"\r"), id="cr-only-line-ends"),
+            pytest.param(lambda d: d.replace(b"\r\n", b"\r", 1), id="header-ends-with-lone-cr"),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_cr_as_a_chunks_last_byte(self, tmp_path, small_chunks, log, edit, chunk):
+        data = edit(log[1])
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        small_chunks(chunk)
+        # every chunk size but 1000 ends some chunk with a CR
+        assert chunk == 1000 or any(data[end - 1 : end] == b"\r" for end in range(chunk, len(data) + 1, chunk))
+        assert read_outcome(read_pulse_log, path) == read_outcome(oracles.read_pulse_log, path)
+        assert streamed_outcome(path) == whole_file_outcome(path)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("fault", [b"x", b"pulse_index"], ids=["bad-line", "bad-header"])
+    def test_non_ascii_in_a_later_chunk_than_a_bad_line(self, tmp_path, small_chunks, log, chunk, fault):
+        data = replace_line(replace_line(log[1], 0 if fault == b"pulse_index" else 3, fault), 250, b"249,1,\xff,0,0,0")
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        small_chunks(chunk)
+        offset = data.index(b"\xff")
+        with pytest.raises(ValueError) as excinfo:
+            read_pulse_log(path)
+        assert str(excinfo.value) == (
+            f"{path}: not ASCII text: 'ascii' codec can't decode byte 0xff in position {offset}: "
+            "ordinal not in range(128)"
+        )
+        assert streamed_outcome(path) == whole_file_outcome(path)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_count_above_the_ceiling_before_a_malformed_line(self, tmp_path, small_chunks, log, chunk, capsys):
+        data = replace_line(replace_line(log[1], 5, b"4,1,%d,0,0,0" % (cli.MAX_COUNT + 1)), 200, b"199,1,1,0,0")
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        small_chunks(chunk)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["detect", "--lambda", "2", "--pulse-log", str(path)])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert f"{path}, line 201: expected 6 comma-separated counts >= 0, got '199,1,1,0,0'" in capsys.readouterr().err
+
+    def test_count_above_the_ceiling_skips_the_histogram(self, tmp_path, small_chunks, log, monkeypatch):
+        data = replace_line(log[1], 5, b"4,1,%d,0,0,0" % (1 << 40))
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        small_chunks(64)
+        calls = []
+        monkeypatch.setattr(cli.np, "bincount", lambda x: calls.append(x.max()) or np.zeros(1, np.int64))
+        assert streamed_outcome(path) == f"{path}, line 6: n_b {1 << 40} exceeds the ceiling {cli.MAX_COUNT}"
+        assert calls and max(calls) <= cli.MAX_COUNT  # blocks before the count's; none after it
+
+    @settings(CODEC_SETTINGS, max_examples=60, derandomize=True)
+    @given(
+        batch=pulse_batches(sizes=st.sampled_from([1, 3, 40, 300]), max_digits=8),
+        chunk=st.sampled_from(CHUNKS),
+        block=st.sampled_from([1, 40, _LOG_READ_BYTES]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "lf", "empty-line"]),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from(b"0123456789,\r\n x\xff"),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_streamed_histogram_matches_whole_file_read(self, tmp_path, batch, chunk, block, edits):
+        data = oracle_log(tmp_path / "oracle.csv", batch)
+        for kind, where, byte in edits:
+            at = int(where * len(data))
+            if kind == "insert":
+                data = data[:at] + bytes([byte]) + data[at:]
+            elif kind == "delete":
+                data = data[:at] + data[at + 1 :]
+            elif kind == "lf":
+                data = data[:at] + data[at:].replace(b"\r\n", b"\n")
+            else:
+                data = replace_line(data, at, b"")
+        path = tmp_path / "pulses.csv"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(source, "_LOG_CHUNK_BYTES", chunk)
+            patch.setattr(source, "_LOG_READ_BYTES", block)
+            assert streamed_outcome(path) == whole_file_outcome(path)

@@ -257,16 +257,15 @@ def pulse_log_blocks(path):
             stop = len(data.rstrip(b"\r\n"))
             if chunk:  # the lines up to the last LF before the last byte that is not a line end
                 stop = data.rfind(b"\n", 0, stop) + 1
-                body = data
             elif stop or line == 2:  # the end of the file; a log holds at least one row
-                body = data[:stop] + b"\n"
+                data = data[:stop] + b"\n"
                 stop += 1
             else:
                 return
             start = 0
             while start < stop:
-                end = body.find(b"\n", start + _LOG_READ_BYTES, stop) + 1 or stop
-                block = body[start:end]
+                end = data.find(b"\n", start + _LOG_READ_BYTES, stop) + 1 or stop
+                block = data[start:end]
                 rows = np.empty((block.count(b"\n"), 5), np.int64)
                 if _read_rows(block, rows) < 0:  # the row grammar names the first bad line
                     at = _BAD_ROW.search(block, 0, len(block) - 1).start()

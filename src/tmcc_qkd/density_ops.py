@@ -5,9 +5,9 @@ basis (Alice's measurement kills off-diagonal terms), so a density matrix
 is just a photon-number distribution, and the Hilbert-Schmidt and weak
 norms reduce to vector norms of the probability difference. One kernel,
 `distances`, computes both for a stack of rows: figure 5's split laws and
-`detection`'s count histograms. It is a padding front end, `differences`,
-and a reduction over the difference matrix, `difference_norms`, so that
-`detection` can form the differences in its own buffer.
+`detection`'s count histograms. It zero-pads the shorter of the rows and
+the expected law and hands the difference matrix to `difference_norms`,
+which `detection` also calls on the differences it forms in its own buffer.
 """
 
 from __future__ import annotations
@@ -15,20 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .photon_stats import PhotonDistribution
-
-
-def differences(rows: np.ndarray, expected: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """The difference P - Q of each row P of the 2-d float `rows` and the
-    probabilities Q of `expected`, over the common range with the shorter one
-    zero-padded.  With `overwrite`, rows at least as wide as Q are turned
-    into the differences in place."""
-    if overwrite and rows.shape[1] >= expected.size:
-        d = rows
-    else:
-        d = np.zeros((len(rows), max(rows.shape[1], expected.size)))
-        d[:, : rows.shape[1]] = rows
-    d[:, : expected.size] -= expected
-    return d
 
 
 def difference_norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,9 +39,13 @@ def difference_norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distances(rows: np.ndarray, expected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """HS^2 and weak distance (see `difference_norms`) of each row of the
-    2-d `rows` to the probabilities of `expected` (see `differences`)."""
-    return difference_norms(differences(rows, expected))
+    """HS^2 and weak distance (see `difference_norms`) of each row P of the
+    2-d `rows` to the probabilities Q of `expected`: the norms of P - Q over
+    the common range, the shorter one zero-padded."""
+    d = np.zeros((len(rows), max(rows.shape[1], expected.size)))
+    d[:, : rows.shape[1]] = rows
+    d[:, : expected.size] -= expected
+    return difference_norms(d)
 
 
 def hs_distance_sq(a: PhotonDistribution, b: PhotonDistribution) -> float:

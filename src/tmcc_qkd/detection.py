@@ -11,7 +11,8 @@ Calibration's multinomial rows and the one histogram of the counts that
 are exact sums of the integer counts, and its distances come from
 `density_ops.difference_norms`, so a run gives the same statistics, bit for
 bit, in the null as in `detect`. `detect_histogram` takes that histogram
-directly, so a caller can fold it from a pulse log block by block.
+directly, so a caller can fold it from a pulse log block by block, and
+zero-pads the shorter of it and the law: the kernel's rows are the law's width.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density_ops import difference_norms, differences
+from .density_ops import difference_norms
 from .photon_stats import IntensityParam, _folded_cdfs, _tmcc_laws, tmcc_moments
 from .source import derive_rng
 
@@ -83,7 +84,7 @@ class DetectionReport:
 def _histogram_statistics(hist: np.ndarray, pulses: int, expected: np.ndarray) -> np.ndarray:
     """Mean, Mandel Q (0 at mean 0), HS^2 and weak distance (rows) of count
     histograms `hist` (one run of `pulses` pulses per row) against the
-    probabilities `expected`.
+    probabilities `expected`, which are exactly as wide as the rows.
 
     The moments are sums of integer terms, exact in float64 below 2**53 in
     any order, so no value depends on the row width, the block shape or the
@@ -96,7 +97,8 @@ def _histogram_statistics(hist: np.ndarray, pulses: int, expected: np.ndarray) -
     positive = mean > 0
     q = ((counts @ (n * n)) / pulses - mean**2) / np.where(positive, mean, 1.0) - 1.0
     counts /= pulses
-    hs, weak = difference_norms(differences(counts, expected, overwrite=True))
+    counts -= expected
+    hs, weak = difference_norms(counts)
     return np.array((mean, np.where(positive, q, 0.0), hs, weak))
 
 
@@ -199,7 +201,9 @@ def detect_histogram(
     if pulses < 1:
         raise ValueError("the histogram must count at least one pulse")
     expected, _, expected_q = _clean_law(expected_lambda)
-    stats = _histogram_statistics(hist[None], pulses, expected)
+    width = max(hist.size, expected.size)
+    rows = np.pad(hist, (0, width - hist.size))[None]
+    stats = _histogram_statistics(rows, pulses, np.pad(expected, (0, width - expected.size)))
     mean, q, hs_val, weak_val = stats[:, 0].tolist()
     if pulses < MIN_PULSES:
         verdict = DetectionVerdict.INSUFFICIENT_DATA

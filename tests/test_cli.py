@@ -122,6 +122,20 @@ class TestScenarios:
         assert code == 0
         assert "verdict=clean" in report.read_text()
 
+    @pytest.mark.parametrize("scenario", [
+        ["simulate"], ["attack-split", "--split-p2", "0.5"], ["attack-clone", "--clone-strategy", "tmcc-clone"],
+        ["attack-clone", "--clone-strategy", "coherent"], ["attack-clone", "--clone-strategy", "single-photon-bank"],
+    ], ids=["simulate", "split", "tmcc-clone", "coherent", "single-photon-bank"])
+    def test_detect_reproduces_the_scenario_report(self, tmp_path, scenario):
+        # detect reads Bob's counts back from the log and calibrates on the same seed, so it
+        # must write the scenario's own report, byte for byte
+        out = tmp_path / "run"
+        common = ["--lambda", "2", "--seed", "5"]
+        assert run(scenario + common + ["--epsilon", "0.05", "--pulses", "3000", "--out", str(out)]) == 0
+        report = tmp_path / "detect.txt"
+        assert run(["detect"] + common + ["--pulse-log", str(out / "pulses.csv"), "--out", str(report)]) == 0
+        assert report.read_bytes() == (out / "report.txt").read_bytes()
+
     def test_determinism_byte_identical(self, tmp_path):
         args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "3000", "--seed", "99"]
         run(args + ["--out", str(tmp_path / "a")])

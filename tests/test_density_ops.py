@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmcc_qkd.attacks import SplitRatio, split_marginal_bob
+from tmcc_qkd.attacks import SplitRatio, _split_marginals, split_marginal_bob
 from tmcc_qkd.density_ops import distances, hs_distance_sq, weak_distance
 from tmcc_qkd.photon_stats import IntensityParam, PhotonDistribution, tmcc_distribution
 
@@ -108,6 +108,13 @@ class TestDistancesKernel:
         want = [(oracles.hs_distance_sq(matrix(row), expected), oracles.weak_distance(matrix(row), expected))
                 for row in table]
         assert list(zip(hs.tolist(), weak.tolist())) == want
+
+    def test_leaves_its_arguments_unchanged(self):
+        # figure 5 passes the first row of its own law stack as the expected law
+        laws, _ = _split_marginals(IntensityParam(2.0), [SplitRatio.from_p_squared(p) for p in (1.0, 0.5, 0.0)])
+        before = laws.copy()
+        distances(laws, laws[0])
+        np.testing.assert_array_equal(laws, before)
 
     def test_one_row_forms_equal_padded_oracle(self):
         lam1 = tmcc_distribution(IntensityParam(1.0))

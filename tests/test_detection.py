@@ -232,16 +232,28 @@ class TestDetectEdgeInputs:
         assert detect(counts, LAM2, at_q0).verdict is DetectionVerdict.CLEAN
         assert detect(counts, LAM2, below_q0).verdict is DetectionVerdict.SUSPECT_CLONE
 
-    def test_counts_past_the_cutoff_equal_oracle(self):
-        # the histogram is wider than the law, so the law is zero-padded
+    # a histogram narrower than, as wide as and wider than the law: the shorter one is zero-padded
+    @pytest.mark.parametrize("top", [-5, 0, 7], ids=["narrower", "as-wide", "wider"])
+    def test_counts_past_the_cutoff_equal_oracle(self, top):
         expected = tmcc_distribution(LAM2)
-        counts = np.concatenate([clean_counts(seed=21, pulses=3000), [expected.cutoff + 1, expected.cutoff + 7]])
+        width = expected.probs.size + top
+        counts = np.minimum(clean_counts(seed=21, pulses=3000), width - 1)
+        counts[:2] = width - 1
         report = detect(counts, LAM2, LOOSE)
         oracle = run_statistics(counts, expected, tmcc_moments(LAM2).mandel_q)
-        assert np.bincount(counts).size > expected.probs.size
+        assert np.bincount(counts).size == width
         np.testing.assert_allclose(report.empirical_mean, oracle[0], rtol=1e-12)
         np.testing.assert_allclose(report.empirical_mandel_q, oracle[4].mandel_q(), rtol=1e-12)
         np.testing.assert_array_equal([report.hs_dist_sq, report.weak_dist], oracle[2:4])
+
+    def test_leaves_its_arguments_unchanged(self):
+        counts = clean_counts(seed=22, pulses=3000)
+        hist = np.bincount(counts)
+        counts_before, hist_before = counts.copy(), hist.copy()
+        detect(counts, LAM2, LOOSE)
+        detection.detect_histogram(hist, LAM2, LOOSE)
+        np.testing.assert_array_equal(counts, counts_before)
+        np.testing.assert_array_equal(hist, hist_before)
 
     def test_large_counts_do_not_wrap(self):
         # 2.2e6 * (2**21)**2 > 2**63: an int64 second-moment sum would wrap around

@@ -53,6 +53,8 @@ class PulseBatch:
             raise ValueError("pulse arrays must be 1-D and of equal length")
         if any((a < 0).any() for a in arrays[:3]):
             raise ValueError("photon counts must be >= 0")
+        if any(a.dtype != bool and ((a != 0) & (a != 1)).any() for a in arrays[3:]):
+            raise ValueError("noise flags must be 0 or 1")
         for f, a in zip(fields(self), arrays):
             object.__setattr__(self, f.name, a)
 
@@ -72,6 +74,26 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
 
 
+_BUCKETS = 4096  # buckets of u for the count lookup; a power of 2, so u * _BUCKETS is exact
+_DRAW_ROWS = 8192  # uniforms per step; the steps draw what one rng.random(count) would
+
+
+def _uniform_blocks(rng: np.random.Generator, count: int):
+    """Yield (start, u) for `count` uniforms from `rng`, `_DRAW_ROWS` at a
+    time into one buffer, so `u` is overwritten by the next step."""
+    u = np.empty(min(count, _DRAW_ROWS))
+    for start in range(0, count, _DRAW_ROWS):
+        yield start, rng.random(out=u[: min(_DRAW_ROWS, count - start)])
+
+
+def _bucket_counts(cdf: np.ndarray) -> np.ndarray:
+    """For each bucket [b, b + 1) / _BUCKETS of u: `np.searchsorted(cdf, u)`,
+    the same for every u in the bucket, where no entry of `cdf` lies in it;
+    else -1."""
+    below = np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS)
+    return np.where(below[:-1] == below[1:], below[:-1], -1)
+
+
 class PulseSampler:
     """Samples correlated TMCC pulses for one (lambda, epsilon, seed) setup.
 
@@ -83,6 +105,7 @@ class PulseSampler:
     def __init__(self, cfg: SourceConfig):
         self.cfg = cfg
         self._cdf = _folded_cdfs(*_tmcc_laws(np.array([cfg.lam.magnitude])))[0]
+        self._bucket_counts = _bucket_counts(self._cdf)
         self._rng = derive_rng(cfg.seed, 0)
         self._noise_rng = derive_rng(cfg.seed, 1)
 
@@ -90,14 +113,31 @@ class PulseSampler:
         """Bob's and Eve's counts given the shared count n; no eavesdropper."""
         return n, np.zeros_like(n)
 
+    def _draw_counts(self, count: int) -> np.ndarray:
+        """`count` photon numbers from sub-stream 0, each exactly
+        `np.searchsorted(cdf, u)` of its uniform u: only the uniforms in the
+        few buckets that `_bucket_counts` leaves at -1 are searched."""
+        n = np.empty(count, np.intp)
+        bucket = np.empty(min(count, _DRAW_ROWS), np.intp)
+        for start, u in _uniform_blocks(self._rng, count):
+            u *= _BUCKETS
+            np.copyto(bucket[: u.size], u, casting="unsafe")  # the floor, as u >= 0
+            out = n[start : start + u.size]
+            self._bucket_counts.take(bucket[: u.size], out=out, mode="clip")
+            search = np.flatnonzero(out < 0)
+            out[search] = np.searchsorted(self._cdf, u[search] / _BUCKETS)
+        return n
+
     def sample_batch(self, count: int) -> PulseBatch:
         if count < 1:
             raise ValueError("count must be >= 1")
-        n = np.searchsorted(self._cdf, self._rng.random(count))
+        n = self._draw_counts(count)
         k, n_e = self._attack(n)
         # at eps = 0 every flag is False, so the draws change no output
-        noise_a = self._noise_rng.random(count) < self.cfg.noise_epsilon
-        noise_b = self._noise_rng.random(count) < self.cfg.noise_epsilon
+        noise_a, noise_b = flags = np.empty((2, count), bool)
+        for row in flags:
+            for start, u in _uniform_blocks(self._noise_rng, count):
+                np.less(u, self.cfg.noise_epsilon, out=row[start : start + u.size])
         return PulseBatch(n + noise_a, k + noise_b, n_e, noise_a, noise_b)
 
 
@@ -135,35 +175,60 @@ def _quote(text: str) -> str:
     return repr(text[:QUOTE_CHARS]) + ("..." if len(text) > QUOTE_CHARS else "")
 
 
+def _digit_groups() -> np.ndarray:
+    """Entry v is the 4 ASCII digits of v < 10**4, zero-padded, as one word."""
+    table = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for i in range(4):
+        table[..., i] = (np.arange(10, dtype=np.uint8) + ord("0")).reshape((10,) + (1,) * (3 - i))
+    return table.reshape(10_000, 4).view(np.uint32)[:, 0]
+
+
 def write_pulse_log(path, batch: PulseBatch) -> None:
     """CSV pulse log: pulse_index,n_a,n_b,n_e,noise_a,noise_b.
 
     Each block of rows is one fixed-width byte array: every field gets the
-    width of its column's largest value, filled with decimal digits, and the
-    leading zeros are dropped by one boolean compress before the write.
+    width of its column's largest value, at least 4 for the index, filled
+    with decimal digits, and the leading zeros are dropped by one boolean
+    compress before the write.  The index rises by one a row, so its last 4
+    digits are one slice of a table of every 4-digit group, and the rows
+    where one of its digits is a leading zero are one slice.
     """
     n = len(batch)
-    columns = (None, batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
-    widths = [len(str(max(n - 1, 0)))] + [len(str(int(c.max(initial=0)))) for c in columns[1:]]
+    columns = (batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
+    widths = [max(len(str(n - 1)), 4)] + [len(str(int(c.max(initial=0)))) for c in columns]
     ends = np.cumsum(np.add(widths, 1))  # one past each field's separator
     text = np.empty((min(n, _LOG_BLOCK_ROWS), ends[-1] + 1), np.uint8)
     text[:, ends - 1] = ord(",")
     text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
     keep = np.ones(text.shape, bool)
+    high = widths[0] - 4  # the index digits before its last 4
+    low, groups = text[:, high : widths[0]].view(np.uint32)[:, 0], _digit_groups()
     with open(path, "wb") as fh:
         fh.write(LOG_HEADER.encode() + b"\r\n")
         for start in range(0, n, _LOG_BLOCK_ROWS):
             stop = min(start + _LOG_BLOCK_ROWS, n)
             rows = stop - start
-            for column, width, end in zip(columns, widths, ends):
-                x = np.arange(start, stop) if column is None else np.asarray(column[start:stop], np.int64)
-                first = end - 1 - width
-                # the i-th of the field's digits is a leading zero when x < 10**(width-1-i)
-                keep[:rows, first : end - 2] = x[:, None] >= _POW10[width - 1 : 0 : -1]
-                for pos in range(end - 2, first - 1, -1):
+            # the i-th index digit is a leading zero in the rows before index 10**(width-1-i);
+            # only a block that holds such a row, or follows one, rewrites the digit's keep column
+            for i in range(widths[0] - 1):
+                power = 10 ** (widths[0] - 1 - i)
+                if start < power + _LOG_BLOCK_ROWS:
+                    keep[:rows, i] = True
+                    keep[: max(power - start, 0), i] = False
+            # a block is shorter than 10**4 rows, so it spans at most two runs of the digits before the last 4
+            cross = min(stop, start - start % 10_000 + 10_000)
+            for lo, hi in ((start, cross), (cross, stop)):
+                low[lo - start : hi - start] = groups[lo % 10_000 : lo % 10_000 + hi - lo]
+                for i in range(high):
+                    text[lo - start : hi - start, i] = ord("0") + lo // 10 ** (widths[0] - 1 - i) % 10
+            for column, width, end in zip(columns, widths[1:], ends[1:]):
+                x = column[start:stop]
+                for pos in range(end - 2, end - 1 - width, -1):  # every digit but the first, right to left
                     quotient = x // 10
                     text[:rows, pos] = x - 10 * quotient + ord("0")
                     x = quotient
+                    np.greater(x, 0, out=keep[:rows, pos - 1])  # the digit before is a leading zero where x is 0
+                np.add(x, ord("0"), out=text[:rows, end - 1 - width], casting="unsafe")
             fh.write(text[:rows][keep[:rows]])
 
 

@@ -61,6 +61,16 @@ class TestSampling:
         cfg = SourceConfig(LAM2, noise_epsilon=0.1, seed=12345)
         assert same_batch(sample(cfg, 5000), sample(cfg, 5000))
 
+    @pytest.mark.parametrize("count", [1, source._DRAW_ROWS, 2 * source._DRAW_ROWS + 5])
+    def test_block_draws_equal_whole_batch_draws(self, count):
+        # the sampler draws its uniforms a block at a time; the outputs are those of one
+        # searchsorted over one draw of all the counts' uniforms, then one draw per noise flag
+        cfg = SourceConfig(LAM2, noise_epsilon=0.3, seed=17)
+        sampler = PulseSampler(cfg)
+        n = np.searchsorted(sampler._cdf, source.derive_rng(17, 0).random(count))
+        noise = source.derive_rng(17, 1).random((2, count)) < 0.3
+        assert same_batch(sampler.sample_batch(count), PulseBatch(n + noise[0], n + noise[1], 0 * n, *noise))
+
     def test_noiseless_identity_large_sample(self):
         batch = sample(SourceConfig(LAM2, seed=7), 1_000_000)
         assert not batch.noise_a.any() and not batch.noise_b.any()
@@ -92,6 +102,73 @@ class TestSampling:
             + analytic.probs[common:].sum()
         )
         assert tv < 0.01
+
+
+class FixedUniforms:
+    """Stands in for a sampler's Generator: `random(out=...)` fills `out`
+    with the next of the given uniforms."""
+
+    def __init__(self, u):
+        self.u, self.taken = u, 0
+
+    def random(self, out):
+        out[:] = self.u[self.taken : self.taken + out.size]
+        self.taken += out.size
+        return out
+
+
+def adversarial_uniforms(cdf):
+    """0, the largest double below 1, every bucket edge, every entry of `cdf`
+    and the doubles either side of it, all in [0, 1), then enough random
+    uniforms for the lookup to take more than one step."""
+    edges = np.arange(source._BUCKETS) / source._BUCKETS
+    u = np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            edges,
+            cdf,
+            np.nextafter(cdf, -np.inf),
+            np.nextafter(cdf, np.inf),
+            np.random.default_rng(cdf.size).random(2 * source._DRAW_ROWS),
+        ]
+    )
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def bucket_lookup(cdf, u):
+    """The sampler's photon numbers for the uniforms `u` under the law of `cdf`."""
+    sampler = PulseSampler(SourceConfig(IntensityParam(0.0)))
+    sampler._cdf, sampler._bucket_counts = cdf, source._bucket_counts(cdf)
+    sampler._rng = FixedUniforms(u)
+    return sampler._draw_counts(u.size)
+
+
+EDGE = 1 / source._BUCKETS
+
+
+class TestBucketLookup:
+    """The bucketed inverse-CDF draw equals `np.searchsorted(cdf, u)` bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5, 2.0, 16.0, 45.0, 50.0])
+    def test_tmcc_law_equals_searchsorted(self, lam):
+        cdf = PulseSampler(SourceConfig(IntensityParam(lam)))._cdf
+        u = adversarial_uniforms(cdf)
+        got = bucket_lookup(cdf, u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="left"))
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            np.arange(1, source._BUCKETS + 1) * EDGE,  # an entry on every bucket edge
+            np.array([0.0, 0.0, EDGE, EDGE, 0.5, 0.5 + EDGE, 1.0 - EDGE, 1.0, 1.0]),  # repeats
+            np.sort(np.concatenate([np.arange(1, 4096, 7) * EDGE, np.nextafter(np.arange(1, 4096, 7) * EDGE, 0.0), [1.0]])),
+        ],
+        ids=["every-edge", "repeated-edges", "edges-and-doubles-below"],
+    )
+    def test_entries_on_bucket_edges_equal_searchsorted(self, cdf):
+        u = adversarial_uniforms(cdf)
+        assert np.array_equal(bucket_lookup(cdf, u), np.searchsorted(cdf, u, side="left"))
 
 
 class TestCorrelation:
@@ -128,6 +205,16 @@ class TestPulseBatch:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
             counts_only([1, 2], [1])
+
+    @pytest.mark.parametrize("noise_a, noise_b", [([2], [-1]), ([0], [2]), ([-1], [1]), ([1], [0.5])])
+    def test_noise_flag_other_than_0_or_1_rejected(self, noise_a, noise_b):
+        with pytest.raises(ValueError, match="noise flags must be 0 or 1"):
+            PulseBatch([1], [1], [0], noise_a, noise_b)
+
+    def test_integer_noise_flags_round_trip(self, tmp_path):
+        batch = PulseBatch([1, 2], [1, 3], [0, 0], [0, 1], [1, 1])
+        write_pulse_log(tmp_path / "pulses.csv", batch)
+        assert same_batch(read_pulse_log(tmp_path / "pulses.csv"), batch)
 
 
 class TestPulseLog:
@@ -229,6 +316,22 @@ class TestPulseLogCodec:
         path = tmp_path / "pulses.csv"
         write_pulse_log(path, batch)
         assert path.read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
+
+    def test_writer_index_widens_inside_a_block(self, tmp_path):
+        # 10**5 lies inside the write block of rows 98 304 to 102 399, so within that block
+        # the 6-digit index field drops its first digit as a leading zero, then keeps it
+        rng = np.random.default_rng(102_400)
+        n = 102_400 + 17
+        counts = [rng.integers(0, 10 ** rng.integers(1, 4, n)) for _ in range(3)]
+        batch = PulseBatch(*counts, *(rng.random((2, n)) < 0.5))
+        write_pulse_log(tmp_path / "pulses.csv", batch)
+        assert (tmp_path / "pulses.csv").read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
+
+    def test_writer_vacuum_batch_matches_oracle(self, tmp_path):
+        batch = sample(SourceConfig(IntensityParam(0.0), noise_epsilon=0.05, seed=9), 20_000)
+        assert all(getattr(batch, f).max() < 10 for f in FIELDS)  # every count column is 1 digit wide
+        write_pulse_log(tmp_path / "pulses.csv", batch)
+        assert (tmp_path / "pulses.csv").read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
 
     def test_writer_empty_batch_is_header_only(self, tmp_path):
         empty = np.zeros(0, np.int64)

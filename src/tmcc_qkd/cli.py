@@ -14,6 +14,13 @@ import os
 import sys
 from pathlib import Path
 
+# numpy's BLAS would start a thread pool at import that no command uses (its
+# products are a few columns wide); a user's setting wins, and a process that
+# loaded numpy before this module keeps its environment as it is
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import attacks, channel, detection, protocol
@@ -36,9 +43,10 @@ EXIT_INTERNAL = 4
 
 CONFIG_ENV = "TMCC_QKD_CONFIG"
 # one key bit per pulse, so every key file a scenario writes fits the XOR
-# code's one frame; at its peak a scenario holds about 35 bytes per pulse, so
-# this many pulses need about 600 MB, while `detect` reads its log in chunks
-# of bounded size; larger counts are refused at parse time
+# code's one frame; at its peak a scenario holds 37 to 45 bytes per pulse, so
+# this many pulses peak at about 600 MiB (`simulate`, `attack-clone`) to 725 MiB
+# (`attack-split`), while `detect` reads its log in chunks of bounded size;
+# larger counts are refused at parse time
 MAX_PULSES = channel.MAX_KEY_BITS
 # the largest n_b `detect` accepts from a pulse log: the count histogram has
 # one bin per value up to the largest count, so this bounds it at 8 MiB

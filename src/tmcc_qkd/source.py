@@ -38,8 +38,8 @@ class SourceConfig:
 
 @dataclass(frozen=True, eq=False)
 class PulseBatch:
-    """Pulse outcomes as parallel arrays: counts seen by Alice, Bob and Eve
-    plus the per-mode noise flags, one entry per pulse."""
+    """Pulse outcomes as parallel arrays: integer counts seen by Alice, Bob
+    and Eve plus the per-mode noise flags, one entry per pulse."""
 
     n_a: np.ndarray
     n_b: np.ndarray
@@ -51,6 +51,8 @@ class PulseBatch:
         arrays = [np.asarray(getattr(self, f.name)) for f in fields(self)]
         if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError("pulse arrays must be 1-D and of equal length")
+        if any(not np.issubdtype(a.dtype, np.integer) for a in arrays[:3]):
+            raise ValueError("photon counts must have an integer dtype")
         if any((a < 0).any() for a in arrays[:3]):
             raise ValueError("photon counts must be >= 0")
         if any(a.dtype != bool and ((a != 0) & (a != 1)).any() for a in arrays[3:]):

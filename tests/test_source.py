@@ -202,6 +202,18 @@ class TestPulseBatch:
         with pytest.raises(ValueError):
             counts_only([1, -1], [1, 1])
 
+    @pytest.mark.parametrize("n_a, n_b", [([1.5, 2.7], [1, 3]), ([2.0, 1.0], [1, 3]), ([1, 2], [1.0, 3.0])])
+    def test_non_integer_counts_rejected(self, n_a, n_b):
+        # the writer would log 1.5 as 1, so even integral floats are refused by dtype
+        with pytest.raises(ValueError, match="integer dtype"):
+            PulseBatch(n_a, n_b, [0, 0], [0, 1], [1, 1])
+        with pytest.raises(ValueError, match="integer dtype"):
+            PulseBatch([1, 2], [1, 3], np.asarray(n_a) + np.asarray(n_b), [False, True], [True, True])
+
+    def test_integer_counts_with_bool_flags_accepted(self):
+        batch = PulseBatch(np.array([1, 2], np.uint16), [1, 3], [0, 0], [False, True], [True, True])
+        assert batch.noise_a.dtype == bool and batch.n_a.dtype == np.uint16
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
             counts_only([1, 2], [1])

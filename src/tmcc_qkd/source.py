@@ -193,9 +193,12 @@ def write_pulse_log(path, batch: PulseBatch) -> None:
     with decimal digits, and the leading zeros are dropped by one boolean
     compress before the write.  The index rises by one a row, so its last 4
     digits are one slice of a table of every 4-digit group, and the rows
-    where one of its digits is a leading zero are one slice.
+    where one of its digits is a leading zero are one slice.  An empty batch
+    is refused before the file is opened, as the reader refuses a log of no rows.
     """
     n = len(batch)
+    if n == 0:
+        raise ValueError("cannot write a pulse log of 0 pulses")
     columns = (batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
     widths = [max(len(str(n - 1)), 4)] + [len(str(int(c.max(initial=0)))) for c in columns]
     ends = np.cumsum(np.add(widths, 1))  # one past each field's separator

@@ -1017,3 +1017,20 @@ def test_readme_cli_flags_exist():
         flag for p in (parser, *commands.choices.values()) for a in p._actions for flag in a.option_strings
     }
     assert named and named <= options, sorted(named - options)
+
+
+def test_readme_states_the_user_contract():
+    # the CLI block shows every command, the formats and exit codes are stated, and the
+    # Layout table keeps to short rows rather than narrating implementation details
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cli_start = readme.index("\n## CLI\n")
+    block = readme[cli_start : readme.index("\n```\n", readme.index("\n```sh\n", cli_start))]
+    shown = set(re.findall(r"^tmcc-qkd ([a-z-]+) ", block, re.M))
+    assert shown == set(_COMMANDS.choices), sorted(set(_COMMANDS.choices) ^ shown)
+    assert f"`{source.LOG_HEADER}`" in readme
+    codes = [cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_MISMATCH, cli.EXIT_ABORT, cli.EXIT_INTERNAL]
+    assert re.findall(r"^\| (\d) \|", readme, re.M) == [str(code) for code in codes] == list("01234")
+    assert "`TMCC_QKD_CONFIG`" in readme
+    layout = readme[readme.index("\n## Layout\n") : cli_start]
+    rows = [line for line in layout.splitlines() if line.startswith("| `")]
+    assert rows and max(map(len, rows)) <= 300, max(rows, key=len)

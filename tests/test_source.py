@@ -345,11 +345,18 @@ class TestPulseLogCodec:
         write_pulse_log(tmp_path / "pulses.csv", batch)
         assert (tmp_path / "pulses.csv").read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
 
-    def test_writer_empty_batch_is_header_only(self, tmp_path):
+    def test_writer_refuses_empty_batch_and_writes_nothing(self, tmp_path):
+        # the reader refuses a header-only log, so the writer makes none
         empty = np.zeros(0, np.int64)
         batch = PulseBatch(empty, empty, empty, empty.astype(bool), empty.astype(bool))
+        with pytest.raises(ValueError, match="0 pulses"):
+            write_pulse_log(tmp_path / "pulses.csv", batch)
+        assert not (tmp_path / "pulses.csv").exists()
+
+    def test_one_pulse_round_trip(self, tmp_path):
+        batch = PulseBatch([12], [0], [7], [True], [False])
         write_pulse_log(tmp_path / "pulses.csv", batch)
-        assert (tmp_path / "pulses.csv").read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
+        assert same_batch(read_pulse_log(tmp_path / "pulses.csv"), batch)
 
     @CODEC_SETTINGS
     @given(

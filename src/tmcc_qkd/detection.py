@@ -205,7 +205,9 @@ def detect_histogram(
     rows = np.pad(hist, (0, width - hist.size))[None]
     stats = _histogram_statistics(rows, pulses, np.pad(expected, (0, width - expected.size)))
     mean, q, hs_val, weak_val = stats[:, 0].tolist()
-    if pulses < MIN_PULSES:
+    # a clean run counts no photon with probability q0**pulses; while that exceeds alpha/8,
+    # mean_low is 0, so not even a run that counted no photon could read SUSPECT_SPLIT
+    if pulses < MIN_PULSES or pulses * -math.log(expected[0]) < math.log(8 / thresholds.alpha):
         verdict = DetectionVerdict.INSUFFICIENT_DATA
     elif mean < thresholds.mean_low:
         verdict = DetectionVerdict.SUSPECT_SPLIT

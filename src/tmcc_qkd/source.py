@@ -194,13 +194,18 @@ def write_pulse_log(path, batch: PulseBatch) -> None:
     compress before the write.  The index rises by one a row, so its last 4
     digits are one slice of a table of every 4-digit group, and the rows
     where one of its digits is a leading zero are one slice.  An empty batch
-    is refused before the file is opened, as the reader refuses a log of no rows.
+    or a count of over 18 digits is refused before the file is opened, as the
+    reader refuses a log of no rows or such a count.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("cannot write a pulse log of 0 pulses")
     columns = (batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
-    widths = [max(len(str(n - 1)), 4)] + [len(str(int(c.max(initial=0)))) for c in columns]
+    tops = [int(c.max()) for c in columns]
+    for name, top in zip(LOG_HEADER.split(",")[1:], tops):
+        if top >= 10**18:
+            raise ValueError(f"cannot write {name} = {top} to a pulse log: a count has at most 18 digits")
+    widths = [max(len(str(n - 1)), 4)] + [len(str(top)) for top in tops]
     ends = np.cumsum(np.add(widths, 1))  # one past each field's separator
     text = np.empty((min(n, _LOG_BLOCK_ROWS), ends[-1] + 1), np.uint8)
     text[:, ends - 1] = ord(",")

@@ -352,10 +352,11 @@ def _cut(text: str) -> str:
 
 
 def write_pulse_log(path, batch: PulseBatch) -> None:
-    """Oracle pulse-log writer: `%d` formatting, one row at a time."""
-    rows = np.column_stack(
-        (np.arange(len(batch)), batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
-    )
+    """Oracle pulse-log writer: `%d` formatting, one row at a time. The columns are
+    taken as int64, which holds every count of at most 18 digits: numpy stacks a
+    uint64 column with an int64 one as float64, which rounds such counts."""
+    columns = (batch.n_a, batch.n_b, batch.n_e, batch.noise_a, batch.noise_b)
+    rows = np.column_stack([np.arange(len(batch)), *(c.astype(np.int64) for c in columns)])
     with open(path, "w", newline="") as fh:
         fh.write(LOG_HEADER + "\r\n")
         for start in range(0, len(rows), _LOG_BLOCK):

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import pkgutil
 import re
 import socket
 import threading
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tmcc_qkd
 from tmcc_qkd import channel, cli, detection, protocol, source
 from tmcc_qkd.photon_stats import IntensityParam
 
@@ -135,6 +137,14 @@ class TestScenarios:
         report = tmp_path / "detect.txt"
         assert run(["detect"] + common + ["--pulse-log", str(out / "pulses.csv"), "--out", str(report)]) == 0
         assert report.read_bytes() == (out / "report.txt").read_bytes()
+
+    def test_split_run_that_counted_no_photon_is_insufficient_data(self, tmp_path, capsys):
+        # at lambda 0.05 a clean 1000-pulse run counts no photon with probability 0.08, above
+        # alpha/8, so no verdict can tell Eve's 99 % split from a clean run
+        argv = ["attack-split", "--lambda", "0.05", "--epsilon", "0", "--split-p2", "0.01", "--pulses", "1000"]
+        assert run(argv + ["--seed", "3", "--out", str(tmp_path)]) == 0
+        assert "empirical_mean=0\n" in capsys.readouterr().out
+        assert "verdict=insufficient-data\n" in (tmp_path / "report.txt").read_text()
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ["simulate", "--lambda", "2", "--epsilon", "0.05", "--pulses", "3000", "--seed", "99"]
@@ -1034,3 +1044,6 @@ def test_readme_states_the_user_contract():
     layout = readme[readme.index("\n## Layout\n") : cli_start]
     rows = [line for line in layout.splitlines() if line.startswith("| `")]
     assert rows and max(map(len, rows)) <= 300, max(rows, key=len)
+    # the table is the one map from names to modules: a row for each module and no other
+    listed = [re.match(r"\| `tmcc_qkd\.(\w+)` \|", row)[1] for row in rows]
+    assert sorted(listed) == sorted(m.name for m in pkgutil.iter_modules(tmcc_qkd.__path__))

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from tmcc_qkd import detection
 from tmcc_qkd.attacks import ClonePulseSampler, CloneStrategy, SplitPulseSampler, SplitRatio
@@ -195,6 +196,19 @@ class TestDetect:
     def test_insufficient_data(self, thresholds):
         report = detect(clean_counts(seed=1, pulses=500), LAM2, thresholds)
         assert report.verdict is DetectionVerdict.INSUFFICIENT_DATA
+
+    # N * -ln q0 = ln(8 / alpha) at the floor, with q0 = 1 / I0(2 lambda) the clean P(0); the cells
+    # within a factor 1.5 of it are left out, as calibration decides them only by chance
+    @pytest.mark.parametrize("lam", [0.0, 0.02, 0.05, 0.1, 0.2, 2.0])
+    def test_photonless_run_reads_split_only_above_the_floor(self, lam):
+        floor = math.log(8 / detection.ALPHA) / math.log(special.i0(2 * lam)) if lam else math.inf
+        for pulses in (1000, 2000, 5000, 20_000, 50_000):
+            if 1 / 1.5 < pulses / floor < 1.5:
+                continue
+            thresholds = calibrate_thresholds(IntensityParam(lam), pulses, seed=31)
+            verdict = detection.detect_histogram(np.array([pulses]), IntensityParam(lam), thresholds).verdict
+            above = pulses > floor
+            assert verdict is (DetectionVerdict.SUSPECT_SPLIT if above else DetectionVerdict.INSUFFICIENT_DATA), pulses
 
     def test_held_out_union_false_alarm_at_most_alpha_at_small_mean(self):
         # at lambda 0.05 a clean run of 1e4 pulses holds about 25 photons, so

@@ -274,12 +274,21 @@ CODEC_SETTINGS = settings(
 )
 
 
+COUNT_DTYPES = [np.dtype(f"{kind}{size}") for kind in "iu" for size in (1, 2, 4, 8)]
+
+
 @st.composite
 def pulse_batches(draw, sizes=LOG_SIZES, max_digits=18):
-    """Batches whose counts have 1 to `digits` digits (at most `max_digits`) per entry."""
+    """Batches of one count dtype, of any integer width, whose counts have 1 to `digits`
+    digits (at most `max_digits`) per entry, capped at the dtype's maximum."""
     n = draw(sizes)
+    dtype = draw(st.sampled_from(COUNT_DTYPES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    counts = [rng.integers(0, 10 ** rng.integers(1, draw(st.integers(1, max_digits)) + 1, n)) for _ in range(3)]
+    top = min(10**18, int(np.iinfo(dtype).max) + 1)
+    counts = [
+        rng.integers(0, np.minimum(10 ** rng.integers(1, draw(st.integers(1, max_digits)) + 1, n), top)).astype(dtype)
+        for _ in range(3)
+    ]
     flags = rng.random((2, n)) < draw(st.floats(0.0, 1.0))
     return PulseBatch(*counts, *flags)
 
@@ -328,6 +337,7 @@ class TestPulseLogCodec:
         path = tmp_path / "pulses.csv"
         write_pulse_log(path, batch)
         assert path.read_bytes() == oracle_log(tmp_path / "oracle.csv", batch)
+        assert same_batch(read_pulse_log(path), batch)
 
     def test_writer_index_widens_inside_a_block(self, tmp_path):
         # 10**5 lies inside the write block of rows 98 304 to 102 399, so within that block
@@ -350,6 +360,17 @@ class TestPulseLogCodec:
         empty = np.zeros(0, np.int64)
         batch = PulseBatch(empty, empty, empty, empty.astype(bool), empty.astype(bool))
         with pytest.raises(ValueError, match="0 pulses"):
+            write_pulse_log(tmp_path / "pulses.csv", batch)
+        assert not (tmp_path / "pulses.csv").exists()
+
+    @pytest.mark.parametrize("column", FIELDS[:3])
+    @pytest.mark.parametrize("count", [np.int64(10**18), np.uint64(10**19)], ids=["int64", "uint64"])
+    def test_writer_refuses_a_count_the_reader_refuses(self, tmp_path, column, count):
+        # the reader takes at most 18 digits a count, so the writer writes no 19-digit count
+        counts = {f: np.zeros(2, count.dtype) for f in FIELDS[:3]}
+        counts[column][1] = count
+        batch = PulseBatch(**counts, noise_a=[0, 1], noise_b=[1, 0])
+        with pytest.raises(ValueError, match=f"cannot write {column} = {count} to a pulse log"):
             write_pulse_log(tmp_path / "pulses.csv", batch)
         assert not (tmp_path / "pulses.csv").exists()
 
